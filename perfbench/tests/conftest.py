@@ -1,0 +1,9 @@
+"""Make the checkout's `src` importable when the benchmark tests run on
+their own: `python -m pytest perfbench/tests` from the repository root."""
+
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
