@@ -10,11 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import data as data_mod
 from .model import (
+    DIRECTIONS,
+    SHARED_FORMS,
     Model,
     RMNConfig,
     check_gradients,
@@ -22,6 +26,7 @@ from .model import (
     load_checkpoint,
     param_count,
     param_count_lstmp,
+    parse_value,
     randomize_params,
     save_checkpoint,
 )
@@ -30,6 +35,7 @@ from .trainer import (
     METRICS_HEADER,
     TrainConfig,
     EpochStats,
+    check_corpus,
     evaluate,
     evaluate_streaming,
     fit,
@@ -41,47 +47,15 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, missing key, bad value)."""
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _parse_opt_int(text: str):
-    return None if text.strip().lower() == "none" else int(text)
-
-
-# key -> (parser, default); _REQUIRED defaults must come from the file/flags
-_REQUIRED = object()
-
-EXPERIMENT_KEYS = {
-    "train_archive": (str, _REQUIRED),
-    "valid_archive": (str, _REQUIRED),
-    "out_dir": (str, _REQUIRED),
-    "num_memory_layers": (int, _REQUIRED),
-    "wide_dim": (int, 1024),
-    "memory_dim": (int, 512),
-    "direction": (str, "uni"),
-    "shared_weight_form": (str, "diagonal"),
-    "residual_interval": (_parse_opt_int, 3),
-    "delay_enabled": (_parse_bool, True),
-    "splice_left": (int, 0),
-    "splice_right": (int, 0),
-    "schedule": (str, "ramp_then_halve"),
-    "base_lr": (float, 0.2),
-    "peak_lr": (float, 1.0),
-    "ramp_epochs": (int, 4),
-    "halve_factor": (float, 0.5),
-    "momentum": (float, 0.9),
-    "l2": (float, 1e-5),
-    "max_utts_per_batch": (int, 10),
-    "truncation_chunk": (_parse_opt_int, 256),
-    "max_epochs": (int, 20),
-    "seed": (int, 0),
-}
+# key -> (parser, default); MISSING defaults must come from the file/flags.
+# input_dim and num_classes are taken from the training corpus.
+EXPERIMENT_KEYS = {key: (str, MISSING) for key in ("train_archive", "valid_archive", "out_dir")}
+EXPERIMENT_KEYS.update(
+    (f.name, (partial(parse_value, f), f.default))
+    for cls in (RMNConfig, TrainConfig)
+    for f in fields(cls)
+    if f.name not in ("input_dim", "num_classes")
+)
 
 
 def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
@@ -117,9 +91,9 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
         if key in raw:
             try:
                 settings[key] = parse(raw[key])
-            except (ValueError, ConfigError) as e:
+            except ValueError as e:
                 raise ConfigError(f"bad value for {key!r}: {raw[key]!r} ({e})") from None
-        elif default is _REQUIRED:
+        elif default is MISSING:
             raise ConfigError(f"missing required key {key!r}")
         else:
             settings[key] = default
@@ -127,34 +101,14 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
 
 
 def _build_model_and_train_config(settings: dict, corpus: data_mod.Corpus):
-    span = settings["splice_left"] + 1 + settings["splice_right"]
+    def picked(cls):
+        return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
+
     model_config = RMNConfig(
-        input_dim=corpus.feature_dim * span,
-        num_memory_layers=settings["num_memory_layers"],
-        num_classes=corpus.num_classes,
-        wide_dim=settings["wide_dim"],
-        memory_dim=settings["memory_dim"],
-        direction=settings["direction"],
-        shared_weight_form=settings["shared_weight_form"],
-        residual_interval=settings["residual_interval"],
-        delay_enabled=settings["delay_enabled"],
-        splice_left=settings["splice_left"],
-        splice_right=settings["splice_right"],
+        input_dim=corpus.feature_dim, num_classes=corpus.num_classes, **picked(RMNConfig)
     )
-    train_config = TrainConfig(
-        schedule=settings["schedule"],
-        base_lr=settings["base_lr"],
-        peak_lr=settings["peak_lr"],
-        ramp_epochs=settings["ramp_epochs"],
-        halve_factor=settings["halve_factor"],
-        momentum=settings["momentum"],
-        l2=settings["l2"],
-        max_utts_per_batch=settings["max_utts_per_batch"],
-        truncation_chunk=settings["truncation_chunk"],
-        max_epochs=settings["max_epochs"],
-        seed=settings["seed"],
-    )
-    return model_config, train_config
+    model_config = replace(model_config, input_dim=corpus.feature_dim * model_config.splice_width)
+    return model_config, TrainConfig(**picked(TrainConfig))
 
 
 def _collect_overrides(args) -> dict[str, str]:
@@ -211,12 +165,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = data_mod.read_archive(args.corpus)
-    span = model.config.splice_left + 1 + model.config.splice_right
-    if corpus.feature_dim * span != model.config.input_dim:
-        raise ConfigError(
-            f"corpus features ({corpus.feature_dim} dims, splice x{span}) do not "
-            f"match model input_dim {model.config.input_dim}"
-        )
+    check_corpus(model, corpus, "eval")
     if args.stream is not None:
         chunk, lookahead = args.stream
         ce, fer = evaluate_streaming(model, corpus, chunk, lookahead)
@@ -348,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=3)
     p.add_argument("--frames", type=int, default=7)
-    p.add_argument("--direction", choices=["uni", "bi"], default="uni")
-    p.add_argument("--shared-form", choices=["diagonal", "full"], default="diagonal")
+    p.add_argument("--direction", choices=DIRECTIONS, default="uni")
+    p.add_argument("--shared-form", choices=SHARED_FORMS, default="diagonal")
     p.add_argument("--no-residual", action="store_true")
     p.add_argument("--no-delay", action="store_true")
     p.add_argument(
@@ -363,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dim", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--wide-dim", type=int, default=1024)
-    p.add_argument("--memory-dim", type=int, default=512)
-    p.add_argument("--direction", choices=["uni", "bi"], default="uni")
-    p.add_argument("--shared-form", choices=["diagonal", "full"], default="diagonal")
+    p.add_argument("--wide-dim", type=int, default=RMNConfig.wide_dim)
+    p.add_argument("--memory-dim", type=int, default=RMNConfig.memory_dim)
+    p.add_argument("--direction", choices=DIRECTIONS, default=RMNConfig.direction)
+    p.add_argument("--shared-form", choices=SHARED_FORMS, default=RMNConfig.shared_weight_form)
     p.add_argument(
         "--compare-lstmp",
         nargs=5,

@@ -16,7 +16,7 @@ truncation inside an utterance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -38,7 +38,8 @@ __all__ = [
     "ConsistencyError",
     "WindowError",
     "RMNConfig",
-    "DelaySchedule",
+    "format_value",
+    "parse_value",
     "delay_schedule",
     "ModelParams",
     "ForwardCache",
@@ -54,6 +55,7 @@ __all__ = [
     "receptive_field",
     "delay_span",
     "probe_receptive_field",
+    "context_bounds",
     "streaming_forward",
     "save_checkpoint",
     "load_checkpoint",
@@ -108,22 +110,46 @@ class RMNConfig:
         if self.direction == "bi" and not self.delay_enabled:
             raise ValueError("bidirectional models require delay_enabled")
 
-
-@dataclass
-class DelaySchedule:
-    """Per-layer lookback (and lookahead for bi models), deepest first."""
-
-    past: list[int]
-    future: list[int]  # empty for uni models
+    @property
+    def splice_width(self) -> int:
+        """Raw frames concatenated into one model input row."""
+        return self.splice_left + 1 + self.splice_right
 
 
-def delay_schedule(config: RMNConfig) -> DelaySchedule:
+# --- config value codec: one text form for checkpoint headers and experiment
+# files. Field types are the annotation strings ("int | None", "bool", ...).
+
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def format_value(f: Field, value) -> str:
+    """Text form of a config field's value: bool as 0/1, None as `none`."""
+    if value is None:
+        return "none"
+    return str(int(value)) if f.type == "bool" else str(value)
+
+
+def parse_value(f: Field, text: str):
+    """Inverse of `format_value`; booleans also accept true/yes/on and
+    false/no/off. Raises ValueError on text that is not of the field's type."""
+    low = text.strip().lower()
+    if low == "none" and f.type.endswith(" | None"):
+        return None
+    if f.type == "bool":
+        if low not in _BOOL_WORDS:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return _BOOL_WORDS[low]
+    return {"int": int, "float": float, "str": str}[f.type.split(" ")[0]](text)
+
+
+def delay_schedule(config: RMNConfig) -> list[int]:
+    """Per-layer delays m_l = L - l + 1, first memory layer first; empty
+    when delays are disabled. Bidirectional models mirror each m_l into a
+    lookahead of the same size."""
     if not config.delay_enabled:
-        return DelaySchedule(past=[], future=[])
-    l_count = config.num_memory_layers
-    past = [l_count - l for l in range(l_count)]  # layer 1 -> L, ..., layer L -> 1
-    future = list(past) if config.direction == "bi" else []
-    return DelaySchedule(past=past, future=future)
+        return []
+    return list(range(config.num_memory_layers, 0, -1))
 
 
 class ModelParams:
@@ -310,7 +336,7 @@ def forward(params: ModelParams, config: RMNConfig, x) -> tuple[ForwardCache, np
         pre = affine(v, params.layer_w[l].value, params.layer_b[l].value)
         z = pre
         if config.delay_enabled:
-            m = sched.past[l]
+            m = sched[l]
             z = z + _apply_shared(shift_rows(pre, m), params.shared_past, config.shared_weight_form)
             if config.direction == "bi":
                 z = z + _apply_shared(
@@ -412,7 +438,7 @@ def backward(
         g_sum = relu_backward(cache.layer_sum[l], g_v)
         g_pre = g_sum.copy()
         if config.delay_enabled:
-            m = sched.past[l]
+            m = sched[l]
             pre = cache.layer_pre[l]
             past_tap = shift_rows(pre, m)
             if form == "diagonal":
@@ -518,10 +544,7 @@ def param_count_lstmp(layers: int, cells: int, proj: int, input_dim: int, num_cl
 
 def delay_span(config: RMNConfig) -> int:
     """Frames reachable through the delayed taps alone: sum of all m_l."""
-    if not config.delay_enabled:
-        return 0
-    l_count = config.num_memory_layers
-    return l_count * (l_count + 1) // 2
+    return sum(delay_schedule(config))
 
 
 def receptive_field(config: RMNConfig) -> tuple[int, int]:
@@ -551,7 +574,7 @@ def probe_receptive_field(
         raise WindowError(
             f"probe needs at least {past_bound + future_bound + 2} frames, got {t_frames}"
         )
-    span = config.splice_left + 1 + config.splice_right
+    span = config.splice_width
     if config.input_dim % span != 0:
         raise DimensionError(
             f"input_dim {config.input_dim} is not divisible by splice span {span}"
@@ -574,6 +597,15 @@ def probe_receptive_field(
     return past, future
 
 
+def context_bounds(
+    config: RMNConfig, start: int, end: int, t_frames: int, lookahead: int
+) -> tuple[int, int]:
+    """Rows [lo, hi) chunk [start, end) of a t_frames utterance runs on: the
+    `delay_span` rows every delay tap needs before it and `lookahead` rows
+    after it, clipped to the utterance."""
+    return max(0, start - delay_span(config)), min(t_frames, end + lookahead)
+
+
 def streaming_forward(
     params: ModelParams, config: RMNConfig, x, chunk_size: int, lookahead: int
 ) -> np.ndarray:
@@ -591,12 +623,10 @@ def streaming_forward(
         raise ValueError("lookahead must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     t_frames = x.shape[0]
-    span = delay_span(config)
     out = np.zeros((t_frames, config.num_classes))
     for start in range(0, t_frames, chunk_size):
         end = min(start + chunk_size, t_frames)
-        ctx_lo = max(0, start - span)
-        ctx_hi = min(t_frames, end + lookahead)
+        ctx_lo, ctx_hi = context_bounds(config, start, end, t_frames, lookahead)
         _, logits = forward(params, config, x[ctx_lo:ctx_hi])
         out[start:end] = logits[start - ctx_lo : end - ctx_lo]
     return out
@@ -616,20 +646,10 @@ _REAL_FMT = "%.17g"
 
 
 def save_checkpoint(model: Model, path) -> None:
-    c = model.config
     with open(path, "w") as fh:
         fh.write(_CKPT_MAGIC + "\n")
-        fh.write(f"input_dim {c.input_dim}\n")
-        fh.write(f"num_memory_layers {c.num_memory_layers}\n")
-        fh.write(f"num_classes {c.num_classes}\n")
-        fh.write(f"wide_dim {c.wide_dim}\n")
-        fh.write(f"memory_dim {c.memory_dim}\n")
-        fh.write(f"direction {c.direction}\n")
-        fh.write(f"shared_weight_form {c.shared_weight_form}\n")
-        fh.write(f"residual_interval {'none' if c.residual_interval is None else c.residual_interval}\n")
-        fh.write(f"delay_enabled {int(c.delay_enabled)}\n")
-        fh.write(f"splice_left {c.splice_left}\n")
-        fh.write(f"splice_right {c.splice_right}\n")
+        for f in fields(RMNConfig):
+            fh.write(f"{f.name} {format_value(f, getattr(model.config, f.name))}\n")
         for p in model.params.parameters():
             dims = " ".join(str(d) for d in p.value.shape)
             fh.write(f"param {p.name} {p.value.ndim} {dims}\n")
@@ -639,6 +659,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; any malformed or truncated file raises ValueError
+    naming `path`."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _CKPT_MAGIC:
@@ -649,35 +671,30 @@ def load_checkpoint(path) -> Model:
         key, _, val = lines[i].partition(" ")
         kv[key] = val
         i += 1
-    config = RMNConfig(
-        input_dim=int(kv["input_dim"]),
-        num_memory_layers=int(kv["num_memory_layers"]),
-        num_classes=int(kv["num_classes"]),
-        wide_dim=int(kv["wide_dim"]),
-        memory_dim=int(kv["memory_dim"]),
-        direction=kv["direction"],
-        shared_weight_form=kv["shared_weight_form"],
-        residual_interval=None if kv["residual_interval"] == "none" else int(kv["residual_interval"]),
-        delay_enabled=bool(int(kv["delay_enabled"])),
-        splice_left=int(kv["splice_left"]),
-        splice_right=int(kv["splice_right"]),
-    )
-    params = init_params(config, seed=0)
-    for p in params.parameters():
-        header = lines[i].split()
-        if header[0] != "param" or header[1] != p.name:
-            raise ValueError(f"{path}: expected parameter {p.name!r}, found {lines[i]!r}")
-        ndim = int(header[2])
-        shape = tuple(int(d) for d in header[3 : 3 + ndim])
-        if shape != p.value.shape:
-            raise ValueError(f"{path}: parameter {p.name!r} shape {shape} != expected {p.value.shape}")
-        n_rows = shape[0] if ndim == 2 else 1
-        vals = []
-        for r in range(n_rows):
+    try:
+        config = RMNConfig(**{f.name: parse_value(f, kv[f.name]) for f in fields(RMNConfig)})
+        params = init_params(config, seed=0)
+        for p in params.parameters():
+            header = lines[i].split()
+            if header[0] != "param" or header[1] != p.name:
+                raise ValueError(f"expected parameter {p.name!r}, found {lines[i]!r}")
+            ndim = int(header[2])
+            shape = tuple(int(d) for d in header[3 : 3 + ndim])
+            if shape != p.value.shape:
+                raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
+            n_rows = shape[0] if ndim == 2 else 1
+            vals = []
+            for r in range(n_rows):
+                i += 1
+                vals.extend(float(v) for v in lines[i].split())
             i += 1
-            vals.extend(float(v) for v in lines[i].split())
-        i += 1
-        p.value[...] = np.array(vals).reshape(p.value.shape)
-        p.grad[...] = 0.0
-        p.velocity[...] = 0.0
+            p.value[...] = np.array(vals).reshape(p.value.shape)
+            p.grad[...] = 0.0
+            p.velocity[...] = 0.0
+    except KeyError as e:
+        raise ValueError(f"{path}: checkpoint header lacks {e.args[0]!r}") from None
+    except IndexError:
+        raise ValueError(f"{path}: truncated checkpoint") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return Model(config=config, params=params)

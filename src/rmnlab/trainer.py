@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .model import Model, backward, delay_span, forward, model_input, streaming_forward
+from .model import Model, backward, context_bounds, delay_span, forward, model_input, streaming_forward
 from .numerics import NumericError, softmax_xent
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "fit",
     "evaluate",
     "evaluate_streaming",
-    "chunked_forward",
+    "check_corpus",
     "METRICS_HEADER",
     "format_stats_row",
 ]
@@ -58,6 +58,10 @@ class TrainConfig:
         # 0 is allowed so smoke runs can prove params stay untouched
         if self.base_lr < 0.0:
             raise ValueError("base_lr must be >= 0")
+        if self.peak_lr < 0.0:
+            raise ValueError("peak_lr must be >= 0")
+        if self.schedule == "ramp_then_halve" and self.ramp_epochs < 1:
+            raise ValueError("ramp_then_halve needs ramp_epochs >= 1")
         if self.max_utts_per_batch < 1:
             raise ValueError("max_utts_per_batch must be >= 1")
         if self.truncation_chunk is not None and self.truncation_chunk < 1:
@@ -176,36 +180,15 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
         p.zero_grad()
 
 
-def chunked_forward(model: Model, features: np.ndarray, chunk: int) -> np.ndarray:
-    """Full-utterance logits assembled from truncation-sized chunks.
-
-    Each chunk keeps enough past frames (and future frames, for bi models)
-    of carried context that the forward values match the full-sequence
-    pass; this is the forward side of truncated training.
-    """
-    x = model_input(model.config, features)
-    span = delay_span(model.config)
-    fut = span if model.config.direction == "bi" else 0
-    t_frames = x.shape[0]
-    out = np.zeros((t_frames, model.config.num_classes))
-    for s in range(0, t_frames, chunk):
-        e = min(s + chunk, t_frames)
-        lo = max(0, s - span)
-        hi = min(t_frames, e + fut)
-        _, logits = forward(model.params, model.config, x[lo:hi])
-        out[s:e] = logits[s - lo : e - lo]
-    return out
-
-
 def _train_step(model: Model, corpus, step_pieces, lr, cfg: TrainConfig) -> None:
-    span = delay_span(model.config)
-    fut_span = span if model.config.direction == "bi" else 0
+    lookahead = delay_span(model.config) if model.config.direction == "bi" else 0
     total_frames = sum(p.chunk_end - p.chunk_start for p in step_pieces)
     for piece in step_pieces:
         utt = corpus.utterances[piece.utt_index]
         x = model_input(model.config, utt.features)
-        lo = max(0, piece.chunk_start - span)
-        hi = min(utt.num_frames, piece.chunk_end + fut_span)
+        lo, hi = context_bounds(
+            model.config, piece.chunk_start, piece.chunk_end, utt.num_frames, lookahead
+        )
         cache, _ = forward(model.params, model.config, x[lo:hi])
         scale = (piece.chunk_end - piece.chunk_start) / total_frames
         window = (piece.chunk_start - lo, piece.chunk_end - lo)
@@ -222,40 +205,60 @@ def _train_step(model: Model, corpus, step_pieces, lr, cfg: TrainConfig) -> None
     sgd_step(model.params, lr, cfg.momentum, cfg.l2)
 
 
+def _score(model: Model, corpus: data_mod.Corpus, logits_of) -> tuple[float, float]:
+    """Frame-weighted mean cross-entropy and frame error rate of the logits
+    `logits_of(x)` gives for each utterance's model input x."""
+    total_frames = 0
+    ce_sum = 0.0
+    errors = 0
+    for utt in corpus.utterances:
+        logits = logits_of(model_input(model.config, utt.features))
+        loss, _ = softmax_xent(logits, utt.labels)
+        ce_sum += loss * utt.num_frames
+        errors += int(np.sum(np.argmax(logits, axis=1) != utt.labels))
+        total_frames += utt.num_frames
+    return ce_sum / total_frames, errors / total_frames
+
+
 def evaluate(model: Model, corpus: data_mod.Corpus) -> tuple[float, float]:
     """Mean per-frame cross-entropy and frame error rate over a corpus.
 
     Argmax ties break toward the lowest class index.
     """
-    total_frames = 0
-    ce_sum = 0.0
-    errors = 0
-    for utt in corpus.utterances:
-        x = model_input(model.config, utt.features)
-        _, logits = forward(model.params, model.config, x)
-        loss, _ = softmax_xent(logits, utt.labels)
-        t_frames = utt.num_frames
-        ce_sum += loss * t_frames
-        errors += int(np.sum(np.argmax(logits, axis=1) != utt.labels))
-        total_frames += t_frames
-    return ce_sum / total_frames, errors / total_frames
+    return _score(model, corpus, lambda x: forward(model.params, model.config, x)[1])
 
 
 def evaluate_streaming(
     model: Model, corpus: data_mod.Corpus, chunk_size: int, lookahead: int
 ) -> tuple[float, float]:
     """evaluate(), but logits come from bounded-lookahead chunked inference."""
-    total_frames = 0
-    ce_sum = 0.0
-    errors = 0
+    return _score(
+        model, corpus,
+        lambda x: streaming_forward(model.params, model.config, x, chunk_size, lookahead),
+    )
+
+
+def check_corpus(model: Model, corpus: data_mod.Corpus, name: str) -> None:
+    """Reject a corpus the model cannot be trained or scored on: empty,
+    unlabeled, non-finite, or of the wrong feature width or class count."""
+    config = model.config
+    if len(corpus) == 0:
+        raise ValueError(f"{name} corpus is empty")
+    span = config.splice_width
+    if corpus.feature_dim * span != config.input_dim:
+        raise ValueError(
+            f"{name} corpus features ({corpus.feature_dim} dims, splice x{span}) "
+            f"do not match model input_dim {config.input_dim}"
+        )
+    if corpus.num_classes > config.num_classes:
+        raise ValueError(
+            f"{name} corpus has {corpus.num_classes} classes, model emits {config.num_classes}"
+        )
     for utt in corpus.utterances:
-        x = model_input(model.config, utt.features)
-        logits = streaming_forward(model.params, model.config, x, chunk_size, lookahead)
-        loss, _ = softmax_xent(logits, utt.labels)
-        ce_sum += loss * utt.num_frames
-        errors += int(np.sum(np.argmax(logits, axis=1) != utt.labels))
-        total_frames += utt.num_frames
-    return ce_sum / total_frames, errors / total_frames
+        if utt.labels is None:
+            raise ValueError(f"{name} corpus: utterance {utt.id!r} has no labels")
+        if not np.isfinite(utt.features).all():
+            raise ValueError(f"{name} corpus: utterance {utt.id!r} has non-finite features")
 
 
 def fit(
@@ -271,20 +274,8 @@ def fit(
     base_lr / 64. `on_epoch(stats, model)` runs after every epoch; a truthy
     return requests an early stop. Fully deterministic for a given seed.
     """
-    for corpus, name in ((train_corpus, "train"), (valid_corpus, "valid")):
-        if len(corpus) == 0:
-            raise ValueError(f"{name} corpus is empty")
-        span = model.config.splice_left + 1 + model.config.splice_right
-        if corpus.feature_dim * span != model.config.input_dim:
-            raise ValueError(
-                f"{name} corpus features ({corpus.feature_dim} dims, splice x{span}) "
-                f"do not match model input_dim {model.config.input_dim}"
-            )
-        if corpus.num_classes > model.config.num_classes:
-            raise ValueError(
-                f"{name} corpus has {corpus.num_classes} classes, model emits "
-                f"{model.config.num_classes}"
-            )
+    check_corpus(model, train_corpus, "train")
+    check_corpus(model, valid_corpus, "valid")
 
     history: list[EpochStats] = []
     valid_ce_history: list[float] = []

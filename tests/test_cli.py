@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmnlab.cli import ConfigError, load_experiment_config, main
-from rmnlab.data import read_archive
+from rmnlab.data import read_archive, write_archive
 from rmnlab.model import init_params, load_checkpoint
 
 
@@ -129,8 +129,9 @@ def test_config_loader_parses_comments_and_overrides(tmp_path):
     train, valid = write_corpora(tmp_path)
     path = tmp_path / "exp.cfg"
     path.write_text(base_config_text(tmp_path, train, valid))
-    settings = load_experiment_config(str(path), {"memory_dim": "16"})
+    settings = load_experiment_config(str(path), {"memory_dim": "16", "delay_enabled": "Off"})
     assert settings["memory_dim"] == 16
+    assert settings["delay_enabled"] is False
     assert settings["truncation_chunk"] is None
     assert settings["momentum"] == 0.9  # default fills in
 
@@ -266,6 +267,53 @@ def test_eval_dimension_mismatch_is_usage_error(tmp_path, capsys):
 def test_eval_missing_checkpoint(tmp_path):
     train, _ = write_corpora(tmp_path)
     assert run("eval", str(tmp_path / "nope.ckpt"), str(train)) == 2
+
+
+def assert_one_line_usage_error(capsys, *argv, mentions):
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and mentions in err
+
+
+def test_eval_truncated_checkpoint_is_usage_error(tmp_path, capsys):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:-3]))
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=str(ckpt))
+
+
+def test_eval_checkpoint_missing_header_key_is_usage_error(tmp_path, capsys):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    text = ckpt.read_text()
+    ckpt.write_text(text.replace("splice_right 0\n", ""))
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="splice_right")
+
+
+def test_eval_non_finite_features_is_usage_error(tmp_path, capsys):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    corpus = read_archive(valid)
+    corpus.utterances[1].features[2, 0] = np.nan
+    write_archive(corpus, valid)
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="non-finite")
+
+
+def test_train_unlabeled_utterance_is_usage_error(tmp_path, capsys):
+    train, valid = write_corpora(tmp_path)
+    corpus = read_archive(train)
+    corpus.utterances[0].labels = None
+    write_archive(corpus, train)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid))
+    assert_one_line_usage_error(capsys, "train", str(cfg), mentions="no labels")
+
+
+def test_train_rejects_unusable_schedule(tmp_path, capsys):
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid))
+    assert_one_line_usage_error(capsys, "train", str(cfg), "--ramp_epochs", "0", mentions="ramp_epochs")
+    assert_one_line_usage_error(capsys, "train", str(cfg), "--peak_lr", "-1", mentions="peak_lr")
 
 
 # --- sweep ------------------------------------------------------------------------------

@@ -5,6 +5,8 @@ identity, zero-init equivalence), analysis tools and checkpoints."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmnlab.model import (
     ConsistencyError,
@@ -90,15 +92,10 @@ def test_config_rejects_bad_values():
 
 
 def test_delay_schedule_deepest_first():
-    sched = delay_schedule(tiny_config(num_memory_layers=5))
-    assert sched.past == [5, 4, 3, 2, 1]
-    assert sched.future == []
-    sched = delay_schedule(tiny_config(num_memory_layers=5, direction="bi"))
-    assert sched.future == [5, 4, 3, 2, 1]
-    sched = delay_schedule(tiny_config(num_memory_layers=1))
-    assert sched.past == [1]
-    sched = delay_schedule(tiny_config(delay_enabled=False))
-    assert sched.past == [] and sched.future == []
+    assert delay_schedule(tiny_config(num_memory_layers=5)) == [5, 4, 3, 2, 1]
+    assert delay_schedule(tiny_config(num_memory_layers=5, direction="bi")) == [5, 4, 3, 2, 1]
+    assert delay_schedule(tiny_config(num_memory_layers=1)) == [1]
+    assert delay_schedule(tiny_config(delay_enabled=False)) == []
 
 
 def test_delay_span_closed_form():
@@ -594,6 +591,25 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text("something else entirely\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.floats(min_value=0.0, max_value=1.0), at_line_end=st.booleans())
+def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_line_end):
+    cfg = tiny_config(direction="bi", shared_weight_form="full", splice_left=1)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    text = path.read_bytes()
+    if at_line_end:
+        lines = text.splitlines(keepends=True)
+        text = b"".join(lines[: int(cut * len(lines))])
+    else:
+        text = text[: int(cut * len(text))]
+    path.write_bytes(text)
+    try:
+        assert isinstance(load_checkpoint(path), Model)
+    except ValueError as e:
+        assert str(path) in str(e)
 
 
 # --- model_input --------------------------------------------------------------

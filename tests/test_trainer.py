@@ -12,7 +12,6 @@ from rmnlab.trainer import (
     BatchPiece,
     EpochStats,
     TrainConfig,
-    chunked_forward,
     evaluate,
     evaluate_streaming,
     fit,
@@ -21,7 +20,7 @@ from rmnlab.trainer import (
     make_minibatches,
     sgd_step,
 )
-from rmnlab.model import forward, model_input
+from rmnlab.model import delay_span, forward, model_input, streaming_forward
 
 RNG = np.random.default_rng(77)
 
@@ -75,6 +74,11 @@ def test_train_config_validation():
         TrainConfig(max_utts_per_batch=0)
     with pytest.raises(ValueError):
         TrainConfig(truncation_chunk=0)
+    with pytest.raises(ValueError):
+        TrainConfig(ramp_epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(peak_lr=-1.0)
+    TrainConfig(schedule="constant_then_halve", ramp_epochs=0)
     TrainConfig(truncation_chunk=None)
     TrainConfig(base_lr=0.0)  # explicit smoke-run support
 
@@ -293,11 +297,14 @@ def test_single_step_decreases_batch_loss():
 
 @pytest.mark.parametrize("direction", ["uni", "bi"])
 def test_chunked_forward_matches_full(direction):
+    # the forward side of truncated training: past context plus the whole
+    # future delay span around each chunk
     model = small_model(direction=direction)
     feats = RNG.normal(size=(50, 4))
     _, full = forward(model.params, model.config, feats)
+    lookahead = delay_span(model.config) if direction == "bi" else 0
     for chunk in (1, 7, 50, 64):
-        out = chunked_forward(model, feats, chunk)
+        out = streaming_forward(model.params, model.config, feats, chunk, lookahead)
         assert np.abs(out - full).max() < 1e-9
 
 
