@@ -7,6 +7,7 @@ information across time, not by learning a feature representation.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,7 @@ def write_archive(corpus: Corpus, path) -> None:
     Reals carry 17 significant digits so write/read round-trips are
     value-exact; the labels line is omitted for unlabeled utterances.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for u in corpus.utterances:
             k = corpus.num_classes if u.labels is not None else 0
             fh.write(f"{u.id} [ {k}\n")
@@ -112,14 +113,26 @@ def write_archive(corpus: Corpus, path) -> None:
 
 
 def read_archive(path) -> Corpus:
-    """Parse a text matrix archive back into a Corpus. Round-trips exactly."""
+    """Parse a text matrix archive back into a Corpus. Round-trips exactly.
+
+    Any malformed content raises ParseError naming the line: text that is
+    not UTF-8, a bad header, a non-numeric, non-finite or ragged feature
+    row, or a bad labels line. A corpus that breaks `Corpus.validate`
+    raises FormatError.
+    """
     utts: list[Utterance] = []
     by_id: dict[str, Utterance] = {}
     num_classes = 0
     feature_dim = None
 
-    with open(path) as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        bad_line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"line {bad_line}: bytes that are not UTF-8 text") from None
+    lines = io.StringIO(text, newline=None).readlines()
 
     i = 0
     while i < len(lines):
@@ -141,6 +154,8 @@ def read_archive(path) -> Corpus:
                 labels = np.array([int(v) for v in tokens[2:]], dtype=np.int64)
             except ValueError:
                 raise ParseError(f"line {line_no}: non-integer label") from None
+            except OverflowError:
+                raise ParseError(f"line {line_no}: label out of the 64-bit range") from None
             if labels.shape[0] != u.num_frames:
                 raise ParseError(
                     f"line {line_no}: {labels.shape[0]} labels for {u.num_frames} frames"
@@ -161,6 +176,7 @@ def read_archive(path) -> Corpus:
         num_classes = max(num_classes, k)
 
         rows: list[list[float]] = []
+        row_lines: list[int] = []
         closed = False
         while i < len(lines):
             line_no = i + 1
@@ -174,6 +190,7 @@ def read_archive(path) -> Corpus:
                     rows.append([float(v) for v in row_tokens])
                 except ValueError:
                     raise ParseError(f"line {line_no}: non-numeric feature value") from None
+                row_lines.append(line_no)
                 if len(rows[-1]) != len(rows[0]):
                     raise ParseError(
                         f"line {line_no}: row has {len(rows[-1])} columns, expected {len(rows[0])}"
@@ -184,6 +201,9 @@ def read_archive(path) -> Corpus:
             raise ParseError(f"line {line_no}: unterminated features block for {utt_id!r}")
 
         feats = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise ParseError(f"line {row_lines[int(np.argmin(finite))]}: non-finite feature value")
         if feature_dim is None and rows:
             feature_dim = feats.shape[1]
         elif rows and feats.shape[1] != feature_dim:
@@ -195,7 +215,12 @@ def read_archive(path) -> Corpus:
         utts.append(u)
         by_id[utt_id] = u
 
-    return Corpus(utterances=utts, feature_dim=feature_dim or 0, num_classes=num_classes)
+    for u in utts:
+        if u.num_frames == 0:
+            u.features = np.zeros((0, feature_dim or 0))
+    corpus = Corpus(utterances=utts, feature_dim=feature_dim or 0, num_classes=num_classes)
+    corpus.validate()
+    return corpus
 
 
 def splice(features, left: int, right: int) -> np.ndarray:
@@ -247,6 +272,26 @@ def _uniform_classes(rng, k: int, t_frames: int) -> np.ndarray:
     return rng.integers(0, k, size=t_frames)
 
 
+def _gen_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int, ahead: bool) -> Corpus:
+    """Both recall tasks: label(t) is the class shown `delay` frames before
+    t, or after t when `ahead`; frames without a target get class k."""
+    if delay >= t_frames:
+        raise ValueError(f"delay {delay} must be < frames per utterance {t_frames}")
+    rng = np.random.default_rng(seed)
+    utts = []
+    for n in range(n_utts):
+        classes = _uniform_classes(rng, k, t_frames)
+        feats = np.zeros((t_frames, k))
+        feats[np.arange(t_frames), classes] = 1.0
+        labels = np.full(t_frames, k, dtype=np.int64)
+        if ahead:
+            labels[: t_frames - delay] = classes[delay:]
+        else:
+            labels[delay:] = classes[: t_frames - delay]
+        utts.append(Utterance(f"utt{n:05d}", feats, labels))
+    return Corpus(utts, feature_dim=k, num_classes=k + 1)
+
+
 def gen_delayed_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int) -> Corpus:
     """Recall-the-past task: label(t) is the class shown `delay` frames ago.
 
@@ -254,40 +299,12 @@ def gen_delayed_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int
     too early to have a target get the dedicated null class k, so the
     corpus has k+1 classes and every frame stays labeled.
     """
-    if delay >= t_frames:
-        raise ValueError(f"delay {delay} must be < frames per utterance {t_frames}")
-    rng = np.random.default_rng(seed)
-    utts = []
-    for n in range(n_utts):
-        classes = _uniform_classes(rng, k, t_frames)
-        feats = np.zeros((t_frames, k))
-        feats[np.arange(t_frames), classes] = 1.0
-        labels = np.full(t_frames, k, dtype=np.int64)
-        if delay == 0:
-            labels[:] = classes
-        else:
-            labels[delay:] = classes[:-delay]
-        utts.append(Utterance(f"utt{n:05d}", feats, labels))
-    return Corpus(utts, feature_dim=k, num_classes=k + 1)
+    return _gen_recall(k, delay, t_frames, n_utts, seed, ahead=False)
 
 
 def gen_future_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int) -> Corpus:
     """Recall-the-future task: label(t) is the class shown `delay` frames ahead."""
-    if delay >= t_frames:
-        raise ValueError(f"delay {delay} must be < frames per utterance {t_frames}")
-    rng = np.random.default_rng(seed)
-    utts = []
-    for n in range(n_utts):
-        classes = _uniform_classes(rng, k, t_frames)
-        feats = np.zeros((t_frames, k))
-        feats[np.arange(t_frames), classes] = 1.0
-        labels = np.full(t_frames, k, dtype=np.int64)
-        if delay == 0:
-            labels[:] = classes
-        else:
-            labels[:-delay] = classes[delay:]
-        utts.append(Utterance(f"utt{n:05d}", feats, labels))
-    return Corpus(utts, feature_dim=k, num_classes=k + 1)
+    return _gen_recall(k, delay, t_frames, n_utts, seed, ahead=True)
 
 
 def gen_parity(window_w: int, t_frames: int, n_utts: int, seed: int) -> Corpus:

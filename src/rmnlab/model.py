@@ -248,13 +248,18 @@ class Model:
 class ForwardCache:
     """Everything the backward pass replays.
 
-    All cached sequences share the frame count of the input. `layer_pre`
-    holds each layer's own affine output (the tap source), `layer_sum` the
-    relu input after delayed terms, `layer_out` the post-activation value
-    after any residual shortcut.
+    `x` is the whole input; every other array covers only the rows its
+    stage computed, given by `spans` (see `forward`): the input and
+    projection blocks and `layer_pre[l]` cover `spans[l]` (l = 0 for the
+    blocks), `layer_sum[l]` and `layer_out[l]` cover `spans[l + 1]`, and the
+    output blocks and `logits` cover `spans[-1]`, the requested rows.
+    `layer_pre` holds each layer's own affine output (the tap source),
+    `layer_sum` the relu input after delayed terms, `layer_out` the
+    post-activation value after any residual shortcut.
     """
 
     x: np.ndarray
+    spans: list[tuple[int, int]]
     input_pre: np.ndarray
     input_post: np.ndarray
     proj_pre: np.ndarray
@@ -269,22 +274,25 @@ class ForwardCache:
     params_ref: ModelParams = field(repr=False, default=None)
 
 
+def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of x; an index outside x gives a zero row. A
+    range inside x comes back as a view."""
+    if start >= 0 and stop <= x.shape[0]:
+        return x[start:stop]
+    out = np.zeros((stop - start,) + x.shape[1:], dtype=x.dtype)
+    lo, hi = max(start, 0), min(stop, x.shape[0])
+    if lo < hi:
+        out[lo - start : hi - start] = x[lo:hi]
+    return out
+
+
 def shift_rows(x: np.ndarray, k: int) -> np.ndarray:
     """Shift rows later by k (k>0) or earlier by -k (k<0), zero-filling.
 
     out[t] = x[t-k] when that row exists, else zeros; a tap that falls
     outside the utterance contributes nothing.
     """
-    out = np.zeros_like(x)
-    if k == 0:
-        out[:] = x
-    elif k > 0:
-        if k < x.shape[0]:
-            out[k:] = x[:-k]
-    else:
-        if -k < x.shape[0]:
-            out[:k] = x[-k:]
-    return out
+    return _rows(x, -k, x.shape[0] - k)
 
 
 def _apply_shared(h_shifted: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
@@ -300,13 +308,43 @@ def model_input(config: RMNConfig, features: np.ndarray) -> np.ndarray:
     return data_mod.splice(features, config.splice_left, config.splice_right)
 
 
-def forward(params: ModelParams, config: RMNConfig, x) -> tuple[ForwardCache, np.ndarray]:
-    """Run the full pipeline on one utterance, returning (cache, logits).
+def _layer_spans(config: RMNConfig, lo: int, hi: int, t_frames: int) -> list[tuple[int, int]]:
+    """Rows each stage computes so that rows [lo, hi) of the logits are exact.
+
+    Entry l < L is memory layer l's pre-activation range [lo - P_l,
+    hi + F_l) clipped to the t_frames input, where P_l is the sum of the
+    delays of layers l..L-1 and F_l the same sum for bidirectional models
+    (0 for unidirectional ones); the input and projection blocks share
+    entry 0. Entry L is [lo, hi) itself: the output blocks' rows, and the
+    rows of the last layer's output. A row outside a layer's range is
+    never read on the way to an emitted row.
+    """
+    reach = delay_schedule(config) or [0] * config.num_memory_layers
+    spans = [(lo, hi)]
+    past = 0
+    for m in reversed(reach):
+        past += m
+        future = past if config.direction == "bi" else 0
+        spans.append((max(0, lo - past), min(t_frames, hi + future)))
+    return spans[::-1]
+
+
+def forward(
+    params: ModelParams, config: RMNConfig, x, rows: tuple[int, int] | None = None
+) -> tuple[ForwardCache, np.ndarray]:
+    """Run the pipeline on one utterance, returning (cache, logits).
 
     Pipeline: wide input block, projection into the memory width, L memory
     layers with delayed shared-weight taps and periodic identity shortcuts,
     then the wide output block and the classifier affine. No softmax is
     applied; the loss owns it.
+
+    `rows` = (lo, hi) asks for the logits of rows lo..hi-1 only (default:
+    every row) and computes each stage on just the rows that reach them
+    (`_layer_spans`): memory layer l costs the requested rows plus its own
+    reach P_l (and F_l) — all the delays from layer l up — and the output
+    blocks cost the requested rows only. The logits equal rows lo..hi-1 of
+    a full pass over x: taps beyond x's edges read zeros either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -317,9 +355,15 @@ def forward(params: ModelParams, config: RMNConfig, x) -> tuple[ForwardCache, np
         raise DimensionError(
             f"input has {x.shape[1]} features, model expects {config.input_dim}"
         )
+    t_frames = x.shape[0]
+    lo, hi = (0, t_frames) if rows is None else rows
+    if not 0 <= lo < hi <= t_frames:
+        raise ValueError(f"rows {(lo, hi)} outside sequence of {t_frames} frames")
 
     sched = delay_schedule(config)
-    input_pre = affine(x, params.input_w.value, params.input_b.value)
+    spans = _layer_spans(config, lo, hi, t_frames)
+    a, b = spans[0]
+    input_pre = affine(x[a:b], params.input_w.value, params.input_b.value)
     input_post = relu(input_pre)
     proj_pre = affine(input_post, params.proj_w.value, params.proj_b.value)
     proj_post = relu(proj_pre)
@@ -330,22 +374,26 @@ def forward(params: ModelParams, config: RMNConfig, x) -> tuple[ForwardCache, np
     shortcut_layers: list[int] = []
 
     v = proj_post
-    block_input = proj_post
+    block_input, block_start = proj_post, a
     interval = config.residual_interval
     for l in range(config.num_memory_layers):
+        # pre covers spans[l] = (a, _); this layer's output covers spans[l + 1]
+        a, (c, d) = spans[l][0], spans[l + 1]
         pre = affine(v, params.layer_w[l].value, params.layer_b[l].value)
-        z = pre
+        z = pre[c - a : d - a]
         if config.delay_enabled:
             m = sched[l]
-            z = z + _apply_shared(shift_rows(pre, m), params.shared_past, config.shared_weight_form)
+            z = z + _apply_shared(
+                _rows(pre, c - a - m, d - a - m), params.shared_past, config.shared_weight_form
+            )
             if config.direction == "bi":
                 z = z + _apply_shared(
-                    shift_rows(pre, -m), params.shared_future, config.shared_weight_form
+                    _rows(pre, c - a + m, d - a + m), params.shared_future, config.shared_weight_form
                 )
         out = relu(z)
         if interval is not None and (l + 1) % interval == 0:
-            out = out + block_input
-            block_input = out
+            out = out + block_input[c - block_start : d - block_start]
+            block_input, block_start = out, c
             shortcut_layers.append(l + 1)
         layer_pre.append(pre)
         layer_sum.append(z)
@@ -358,6 +406,7 @@ def forward(params: ModelParams, config: RMNConfig, x) -> tuple[ForwardCache, np
 
     cache = ForwardCache(
         x=x,
+        spans=spans,
         input_pre=input_pre,
         input_post=input_post,
         proj_pre=proj_pre,
@@ -386,10 +435,16 @@ def backward(
 
     Returns the (unscaled) loss. `loss_scale` multiplies every gradient
     contribution so several utterances can be combined into one objective.
-    `grad_window` = (lo, hi) restricts the loss to rows lo..hi-1 and stops
-    gradient from crossing below lo / above hi (truncated-chunk training);
-    activations outside the window still feed the forward values as
-    constants.
+    `labels` has one entry per row of the cached input. `grad_window` =
+    (lo, hi) restricts the loss to rows lo..hi-1 and stops gradient from
+    crossing below lo / above hi (truncated-chunk training); activations
+    outside the window still feed the forward values as constants. It
+    defaults to the rows the cache holds logits for, and must lie within
+    them.
+
+    Every gradient row outside the window is zero, so every GEMM, relu and
+    diagonal scale runs on the window rows only; the delayed taps read
+    their `pre[t -/+ m]` values from the cache outside the window.
     """
     if cache.params_ref is not params:
         raise ConsistencyError("cache was produced by a different ModelParams instance")
@@ -399,28 +454,25 @@ def backward(
         raise ConsistencyError(
             f"labels shape {labels.shape} does not match cached sequence of {t_frames} frames"
         )
-    lo, hi = (0, t_frames) if grad_window is None else grad_window
-    if not (0 <= lo < hi <= t_frames):
-        raise ValueError(f"grad_window {(lo, hi)} outside sequence of {t_frames} frames")
+    spans = cache.spans
+    r_lo, r_hi = spans[-1]
+    lo, hi = (r_lo, r_hi) if grad_window is None else grad_window
+    if not (r_lo <= lo < hi <= r_hi):
+        raise ValueError(f"grad_window {(lo, hi)} outside the cached logit rows {(r_lo, r_hi)}")
 
-    loss, g_rows = softmax_xent(cache.logits[lo:hi], labels[lo:hi])
-    g_logits = np.zeros_like(cache.logits)
-    g_logits[lo:hi] = g_rows * loss_scale
+    def win(a: np.ndarray, start: int) -> np.ndarray:
+        # rows lo..hi-1 of an array whose first row is row `start`
+        return a[lo - start : hi - start]
 
-    def clip_window(g):
-        # stop-gradient outside the truncation window
-        if lo > 0:
-            g[:lo] = 0.0
-        if hi < t_frames:
-            g[hi:] = 0.0
-        return g
+    loss, g_logits = softmax_xent(win(cache.logits, r_lo), labels[lo:hi])
+    g_logits *= loss_scale
 
     # classifier block
-    g_out1_post, g_w, g_b = affine_backward(cache.out1_post, params.out2_w.value, g_logits)
+    g_out1_post, g_w, g_b = affine_backward(win(cache.out1_post, r_lo), params.out2_w.value, g_logits)
     params.out2_w.accumulate(g_w)
     params.out2_b.accumulate(g_b)
-    g_out1_pre = relu_backward(cache.out1_pre, g_out1_post)
-    g_v, g_w, g_b = affine_backward(cache.layer_out[-1], params.out1_w.value, g_out1_pre)
+    g_out1_pre = relu_backward(win(cache.out1_pre, r_lo), g_out1_post)
+    g_v, g_w, g_b = affine_backward(win(cache.layer_out[-1], r_lo), params.out1_w.value, g_out1_pre)
     params.out1_w.accumulate(g_w)
     params.out1_b.accumulate(g_b)
 
@@ -432,25 +484,27 @@ def backward(
 
     for l in range(config.num_memory_layers - 1, -1, -1):
         layer_no = l + 1
+        a, c = spans[l][0], spans[l + 1][0]
         if layer_no in cache.shortcut_layers:
             src = layer_no - config.residual_interval
             pending[src] = pending.get(src, 0.0) + g_v
-        g_sum = relu_backward(cache.layer_sum[l], g_v)
+        g_sum = relu_backward(win(cache.layer_sum[l], c), g_v)
         g_pre = g_sum.copy()
         if config.delay_enabled:
             m = sched[l]
             pre = cache.layer_pre[l]
-            past_tap = shift_rows(pre, m)
+            past_tap = _rows(pre, lo - a - m, hi - a - m)
             if form == "diagonal":
                 g_tap, g_shared = diag_scale_backward(past_tap, params.shared_past.value, g_sum)
             else:
                 g_tap = g_sum @ params.shared_past.value.T
                 g_shared = past_tap.T @ g_sum
             params.shared_past.accumulate(g_shared)
-            # tap adjoint: gradient at z(t) lands on pre(t-m)
-            g_pre += clip_window(shift_rows(g_tap, -m))
+            # tap adjoint: gradient at z(t) lands on pre(t-m), dropped when
+            # t-m falls outside the window
+            g_pre += shift_rows(g_tap, -m)
             if config.direction == "bi":
-                future_tap = shift_rows(pre, -m)
+                future_tap = _rows(pre, lo - a + m, hi - a + m)
                 if form == "diagonal":
                     g_tap, g_shared = diag_scale_backward(
                         future_tap, params.shared_future.value, g_sum
@@ -459,8 +513,8 @@ def backward(
                     g_tap = g_sum @ params.shared_future.value.T
                     g_shared = future_tap.T @ g_sum
                 params.shared_future.accumulate(g_shared)
-                g_pre += clip_window(shift_rows(g_tap, m))
-        below = cache.layer_out[l - 1] if l > 0 else cache.proj_post
+                g_pre += shift_rows(g_tap, m)
+        below = win(cache.layer_out[l - 1] if l > 0 else cache.proj_post, a)
         g_below, g_w, g_b = affine_backward(below, params.layer_w[l].value, g_pre)
         params.layer_w[l].accumulate(g_w)
         params.layer_b[l].accumulate(g_b)
@@ -468,12 +522,13 @@ def backward(
             g_below = g_below + pending.pop(l)
         g_v = g_below
 
-    g_proj_pre = relu_backward(cache.proj_pre, g_v)
-    g_input_post, g_w, g_b = affine_backward(cache.input_post, params.proj_w.value, g_proj_pre)
+    a = spans[0][0]
+    g_proj_pre = relu_backward(win(cache.proj_pre, a), g_v)
+    g_input_post, g_w, g_b = affine_backward(win(cache.input_post, a), params.proj_w.value, g_proj_pre)
     params.proj_w.accumulate(g_w)
     params.proj_b.accumulate(g_b)
-    g_input_pre = relu_backward(cache.input_pre, g_input_post)
-    _, g_w, g_b = affine_backward(cache.x, params.input_w.value, g_input_pre)
+    g_input_pre = relu_backward(win(cache.input_pre, a), g_input_post)
+    _, g_w, g_b = affine_backward(cache.x[lo:hi], params.input_w.value, g_input_pre)
     params.input_w.accumulate(g_w)
     params.input_b.accumulate(g_b)
     return loss
@@ -613,9 +668,11 @@ def streaming_forward(
 
     The utterance is processed in consecutive chunks; each chunk is
     extended with `lookahead` future frames (and with enough past frames to
-    serve every delay tap), but logits are emitted for the chunk proper
-    only. With lookahead at or beyond the future receptive field this
-    reproduces the full-sequence forward pass.
+    serve every delay tap), and `forward` computes the logits of the chunk
+    proper only: memory layer l runs on the chunk plus its own reach within
+    that context window, the output blocks on the chunk alone. With
+    lookahead at or beyond the future receptive field this reproduces the
+    full-sequence forward pass.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -627,8 +684,8 @@ def streaming_forward(
     for start in range(0, t_frames, chunk_size):
         end = min(start + chunk_size, t_frames)
         ctx_lo, ctx_hi = context_bounds(config, start, end, t_frames, lookahead)
-        _, logits = forward(params, config, x[ctx_lo:ctx_hi])
-        out[start:end] = logits[start - ctx_lo : end - ctx_lo]
+        _, logits = forward(params, config, x[ctx_lo:ctx_hi], rows=(start - ctx_lo, end - ctx_lo))
+        out[start:end] = logits
     return out
 
 

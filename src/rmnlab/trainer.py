@@ -62,6 +62,10 @@ class TrainConfig:
             raise ValueError("peak_lr must be >= 0")
         if self.schedule == "ramp_then_halve" and self.ramp_epochs < 1:
             raise ValueError("ramp_then_halve needs ramp_epochs >= 1")
+        if self.schedule == "ramp_then_halve" and self.peak_lr < self.base_lr:
+            raise ValueError(
+                f"ramp_then_halve needs peak_lr >= base_lr, got {self.peak_lr} < {self.base_lr}"
+            )
         if self.max_utts_per_batch < 1:
             raise ValueError("max_utts_per_batch must be >= 1")
         if self.truncation_chunk is not None and self.truncation_chunk < 1:
@@ -189,11 +193,9 @@ def _train_step(model: Model, corpus, step_pieces, lr, cfg: TrainConfig) -> None
         lo, hi = context_bounds(
             model.config, piece.chunk_start, piece.chunk_end, utt.num_frames, lookahead
         )
-        cache, _ = forward(model.params, model.config, x[lo:hi])
-        scale = (piece.chunk_end - piece.chunk_start) / total_frames
         window = (piece.chunk_start - lo, piece.chunk_end - lo)
-        if window == (0, hi - lo):
-            window = None
+        cache, _ = forward(model.params, model.config, x[lo:hi], rows=window)
+        scale = (piece.chunk_end - piece.chunk_start) / total_frames
         backward(
             model.params,
             model.config,

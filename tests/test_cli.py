@@ -298,6 +298,15 @@ def test_eval_non_finite_features_is_usage_error(tmp_path, capsys):
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="non-finite")
 
 
+def test_eval_infinite_feature_is_usage_error_naming_the_line(tmp_path, capsys):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    corpus = read_archive(valid)
+    corpus.utterances[0].features[3, 1] = -np.inf
+    write_archive(corpus, valid)
+    # header on line 1, feature rows from line 2: row 3 sits on line 5
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="line 5: non-finite")
+
+
 def test_train_unlabeled_utterance_is_usage_error(tmp_path, capsys):
     train, valid = write_corpora(tmp_path)
     corpus = read_archive(train)
@@ -314,6 +323,8 @@ def test_train_rejects_unusable_schedule(tmp_path, capsys):
     cfg.write_text(base_config_text(tmp_path, train, valid))
     assert_one_line_usage_error(capsys, "train", str(cfg), "--ramp_epochs", "0", mentions="ramp_epochs")
     assert_one_line_usage_error(capsys, "train", str(cfg), "--peak_lr", "-1", mentions="peak_lr")
+    assert_one_line_usage_error(capsys, "train", str(cfg), "--base_lr", "0.5", "--peak_lr", "0.4",
+                                mentions="peak_lr")
 
 
 # --- sweep ------------------------------------------------------------------------------

@@ -123,6 +123,73 @@ def test_archive_parse_error_reports_line_number(tmp_path):
     assert "3" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_archive_rejects_non_finite_features_naming_the_line(tmp_path, value):
+    path = tmp_path / "bad.arc"
+    path.write_text(f"u0 [ 2\n 1 2\n\n 3 {value} ]\nlabels u0 0 1\n")
+    with pytest.raises(ParseError, match="line 4: non-finite"):
+        read_archive(path)
+
+
+def read_or_typed_error(path):
+    """read_archive's contract: a Corpus that validates, or a typed error."""
+    try:
+        corpus = read_archive(path)
+    except (ParseError, FormatError):
+        return None
+    assert isinstance(corpus, Corpus)
+    corpus.validate()
+    for u in corpus.utterances:
+        assert u.features.shape == (u.num_frames, corpus.feature_dim)
+        assert np.isfinite(u.features).all()
+    return corpus
+
+
+ARCHIVE_TOKENS = ["u0", "u1", "labels", "[", "]", "0", "1", "2", "-1", "0.5", "1e999", "nan",
+                  "-inf", "x", "99999999999999999999", " ", "  ", "\n", "\r", "\t", "\xe9", "\x00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(ARCHIVE_TOKENS), max_size=40).map(lambda t: " ".join(t).encode()),
+))
+def test_fuzzed_archive_reads_or_raises_typed_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("arc") / "c.arc"
+    path.write_bytes(raw)
+    read_or_typed_error(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.floats(min_value=0.0, max_value=1.0), labeled=st.booleans())
+def test_cut_archive_reads_or_raises_typed_error(tmp_path_factory, cut, labeled):
+    path = tmp_path_factory.mktemp("arc") / "c.arc"
+    write_archive(random_corpus(n_utts=3, with_labels=labeled, seed=9), path)
+    text = path.read_bytes()
+    path.write_bytes(text[: int(cut * len(text))])
+    read_or_typed_error(path)
+
+
+@pytest.mark.parametrize("content, error, match", [
+    (b"u0 [ 2\n 1 2 ]\nlabels u0 \xff\n", ParseError, "line 3"),
+    (b"u0 [ 2\n 1 2 ]\nlabels u0 99999999999999999999\n", ParseError, "line 3"),
+    (b"u0 [ 2\n 1 2 ]\nlabels u0 5\n", FormatError, "labels outside"),
+])
+def test_archive_rejects_malformed_content(tmp_path, content, error, match):
+    path = tmp_path / "bad.arc"
+    path.write_bytes(content)
+    with pytest.raises(error, match=match):
+        read_archive(path)
+
+
+def test_archive_keeps_empty_utterance_width(tmp_path):
+    corpus = Corpus([Utterance("a", np.ones((2, 3)), None), Utterance("b", np.zeros((0, 3)), None)],
+                    feature_dim=3, num_classes=0)
+    path = tmp_path / "c.arc"
+    write_archive(corpus, path)
+    assert read_archive(path).utterances[1].features.shape == (0, 3)
+
+
 # --- splicing ----------------------------------------------------------------
 
 

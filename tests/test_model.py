@@ -16,6 +16,7 @@ from rmnlab.model import (
     WindowError,
     backward,
     check_gradients,
+    context_bounds,
     delay_schedule,
     delay_span,
     forward,
@@ -243,6 +244,87 @@ def test_truncated_window_matches_reference():
         assert rel_err(params.layer_w[l].grad, ref_grads["layer_w"][l]) < 1e-10
 
 
+def rel_max(a, b):
+    """Largest difference relative to the largest magnitude of b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def grad_errors(params, ref_grads):
+    """rel_max of every production gradient against the reference's, the
+    untied shared copies summed."""
+    ref = dict(ref_grads)
+    for name in ("layer_w", "layer_b"):
+        for l, g in enumerate(ref.pop(name)):
+            ref[f"layer{l + 1}_{name[-1]}"] = g
+    for name in ("shared_past", "shared_future"):
+        copies = ref.pop(name)
+        if copies is not None:
+            ref[name] = sum(copies)
+    return {p.name: rel_max(p.grad, ref[p.name]) for p in params.parameters()}
+
+
+TRIM_VARIANTS = [
+    dict(direction=d, shared_weight_form=f, residual_interval=r, delay_enabled=on)
+    for d in ("uni", "bi")
+    for f in ("diagonal", "full")
+    for r in (1, 3, None)
+    for on in (True, False)
+    if on or d == "uni"
+]
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+def test_trimmed_forward_and_windowed_backward_match_reference(variant):
+    # forward(rows=w) computes each layer on only the rows reaching w and
+    # backward(grad_window=w) runs on w alone; both must equal the frame
+    # loop over the whole utterance
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    params = ready_params(cfg)
+    t_frames = 30
+    x = RNG.uniform(-2, 2, (t_frames, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, t_frames)
+    store, ref_logits = ref_forward(params, cfg, x)
+    for lo, hi in ((0, 4), (12, 19), (25, 30), (15, 16)):
+        cache, logits = forward(params, cfg, x, rows=(lo, hi))
+        assert logits.shape == (hi - lo, cfg.num_classes)
+        assert rel_max(logits, ref_logits[lo:hi]) < 1e-12
+        params.zero_grads()
+        loss = backward(params, cfg, cache, labels, grad_window=(lo, hi))
+        ref_loss_val, ref_grads = ref_backward(params, cfg, store, labels, grad_window=(lo, hi))
+        assert loss == pytest.approx(ref_loss_val, rel=1e-12)
+        worst = grad_errors(params, ref_grads)
+        assert max(worst.values()) < 1e-12, ((lo, hi), worst)
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("rows", [(20, 25), (2, 5), (38, 40), (0, 40)])
+def test_trimmed_forward_caches_only_the_rows_that_reach_the_output(direction, rows):
+    # layer l (0-based, delay m = L - l) needs the requested rows plus the
+    # delays of layers l..L-1 before them (and after them when bi); a
+    # silent fall-back to full context would cache all 40 rows
+    l_count, t_frames = 4, 40
+    cfg = tiny_config(num_memory_layers=l_count, direction=direction, residual_interval=2)
+    params = ready_params(cfg)
+    lo, hi = rows
+    cache, _ = forward(params, cfg, RNG.uniform(-2, 2, (t_frames, cfg.input_dim)), rows=rows)
+
+    def length(l):
+        reach = sum(l_count - j for j in range(l, l_count))
+        ahead = reach if direction == "bi" else 0
+        return min(t_frames, hi + ahead) - max(0, lo - reach)
+
+    for l in range(l_count):
+        assert len(cache.layer_pre[l]) == length(l)
+        assert len(cache.layer_sum[l]) == len(cache.layer_out[l]) == length(l + 1)
+    for a in (cache.input_pre, cache.input_post, cache.proj_pre, cache.proj_post):
+        assert len(a) == length(0)
+    for a in (cache.out1_pre, cache.out1_post, cache.logits):
+        assert len(a) == hi - lo
+    assert len(cache.x) == t_frames
+
+
 def test_backward_loss_scale_scales_gradients():
     cfg = tiny_config()
     params = ready_params(cfg)
@@ -417,6 +499,12 @@ def test_backward_consistency_errors():
         backward(params, cfg, cache, labels[:-1])
     with pytest.raises(ValueError):
         backward(params, cfg, cache, labels, grad_window=(4, 2))
+    trimmed, _ = forward(params, cfg, x, rows=(3, 5))
+    with pytest.raises(ValueError):
+        backward(params, cfg, trimmed, labels, grad_window=(2, 5))
+    for rows in ((4, 2), (-1, 3), (0, 7), (3, 3)):
+        with pytest.raises(ValueError):
+            forward(params, cfg, x, rows=rows)
 
 
 # --- parameter counting -------------------------------------------------------
@@ -541,6 +629,26 @@ def test_streaming_short_lookahead_differs_for_bidirectional():
     _, full = forward(params, cfg, x)
     out = streaming_forward(params, cfg, x, chunk_size=7, lookahead=0)
     assert np.abs(out - full).max() > 1e-6
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("splice", [0, 2])
+def test_streaming_equals_full_forward_of_each_context_window(direction, splice):
+    # every chunk's logits equal those of an untrimmed forward over the
+    # chunk's context window, for every lookahead short of and at the span
+    cfg = tiny_config(num_memory_layers=3, direction=direction,
+                      input_dim=6 * (2 * splice + 1), splice_left=splice, splice_right=splice)
+    params = ready_params(cfg)
+    x = model_input(cfg, RNG.uniform(-2, 2, (37, 6)))
+    chunk = 5
+    for lookahead in range(delay_span(cfg) + 1):
+        out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
+        for start in range(0, 37, chunk):
+            end = min(start + chunk, 37)
+            ctx_lo, ctx_hi = context_bounds(cfg, start, end, 37, lookahead)
+            _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
+            expect = full[start - ctx_lo : end - ctx_lo]
+            assert rel_max(out[start:end], expect) < 1e-12, (lookahead, start)
 
 
 def test_streaming_rejects_bad_arguments():

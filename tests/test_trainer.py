@@ -78,7 +78,11 @@ def test_train_config_validation():
         TrainConfig(ramp_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(peak_lr=-1.0)
+    with pytest.raises(ValueError, match="peak_lr"):
+        TrainConfig(base_lr=0.5, peak_lr=0.4)
     TrainConfig(schedule="constant_then_halve", ramp_epochs=0)
+    TrainConfig(schedule="constant_then_halve", base_lr=0.5, peak_lr=0.4)
+    TrainConfig(base_lr=0.5, peak_lr=0.5)
     TrainConfig(truncation_chunk=None)
     TrainConfig(base_lr=0.0)  # explicit smoke-run support
 
