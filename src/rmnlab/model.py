@@ -16,6 +16,7 @@ truncation inside an utterance).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "delay_schedule",
     "ModelParams",
     "ForwardCache",
+    "Carry",
     "Model",
     "init_params",
     "randomize_params",
@@ -329,8 +331,73 @@ def _layer_spans(config: RMNConfig, lo: int, hi: int, t_frames: int) -> list[tup
     return spans[::-1]
 
 
+class Carry:
+    """Stage rows one streamed utterance hands from a context window to the
+    next, for `forward(..., carry=...)`.
+
+    Every stage array lives in a buffer as long as the utterance, indexed by
+    utterance row. A row of a stage is *final* when a later window, which
+    reaches at least as far right, cannot change it: the row plus the
+    stage's future reach lies inside the window, or the window ends where
+    the utterance ends. The future reach of span entry g (see
+    `_layer_spans`) is the sum of the delays of the layers below it for
+    bidirectional models and 0 for unidirectional ones. The next window
+    reads the final rows it needs from the buffers and recomputes the rest.
+
+    Set `origin`, the utterance row of the window's first row, before each
+    call; neither edge of a window may lie before the previous window's. A
+    cache built with a carry holds views of its buffers, valid until the
+    next call.
+    """
+
+    def __init__(self, t_frames: int):
+        self.t_frames = t_frames
+        self.origin = 0
+        self._buffers: dict[str, np.ndarray] = {}
+        self._final: list[int] | None = None  # per span entry, utterance rows
+        self._window = (0, 0)  # the previous window's utterance rows
+        self._spans: list[tuple[int, int]] = []
+        self._first: list[int] = []
+
+    def start(self, config: RMNConfig, spans: list[tuple[int, int]], width: int) -> list[int]:
+        """First row of each span the window computes (window rows), taking
+        the rows before it from the buffers; records the window's final
+        rows for the next call."""
+        o, (lo, hi) = self.origin, self._window
+        if not (lo <= o and hi <= o + width <= self.t_frames):
+            raise ValueError(
+                f"window [{o}, {o + width}) does not follow [{lo}, {hi}) "
+                f"in a {self.t_frames}-frame utterance"
+            )
+        done = self._final or [0] * len(spans)
+        first = [min(max(a, done[g] - o), b) for g, (a, b) in enumerate(spans)]
+        future = delay_schedule(config) if config.direction == "bi" else []
+        final = []
+        for g, (a, b) in enumerate(spans):
+            last = b if o + width == self.t_frames else min(b, width - sum(future[:g]))
+            final.append(o + max(first[g], last))
+        self._final, self._window = final, (o, o + width)
+        self._spans, self._first = spans, first
+        return first
+
+    def keep(self, name: str, g: int, new: np.ndarray) -> np.ndarray:
+        """Store the rows span entry g computed in this window and return
+        the whole span, carried rows included."""
+        buf = self._buffers.get(name)
+        if buf is None:
+            buf = self._buffers[name] = np.empty((self.t_frames,) + new.shape[1:])
+        o, (a, b), d = self.origin, self._spans[g], self._first[g]
+        buf[o + d : o + b] = new
+        return buf[o + a : o + b]
+
+
 def forward(
-    params: ModelParams, config: RMNConfig, x, rows: tuple[int, int] | None = None
+    params: ModelParams,
+    config: RMNConfig,
+    x,
+    rows: tuple[int, int] | None = None,
+    *,
+    carry: Carry | None = None,
 ) -> tuple[ForwardCache, np.ndarray]:
     """Run the pipeline on one utterance, returning (cache, logits).
 
@@ -345,6 +412,10 @@ def forward(
     reach P_l (and F_l) — all the delays from layer l up — and the output
     blocks cost the requested rows only. The logits equal rows lo..hi-1 of
     a full pass over x: taps beyond x's edges read zeros either way.
+
+    `carry` makes x one context window of a longer utterance (see `Carry`
+    and `streaming_forward`): each stage then computes only the rows of its
+    span that no earlier window finished, and the logits are unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -362,11 +433,22 @@ def forward(
 
     sched = delay_schedule(config)
     spans = _layer_spans(config, lo, hi, t_frames)
+    # first[g]: the first row of spans[g] computed here, the rows before it
+    # being carried; keep(name, g, new) turns the new rows into the span
+    if carry is None:
+        first, keep = [a for a, _ in spans], lambda name, g, new: new
+    else:
+        first, keep = carry.start(config, spans, t_frames), carry.keep
     a, b = spans[0]
-    input_pre = affine(x[a:b], params.input_w.value, params.input_b.value)
+    input_pre = affine(x[first[0] : b], params.input_w.value, params.input_b.value)
     input_post = relu(input_pre)
     proj_pre = affine(input_post, params.proj_w.value, params.proj_b.value)
     proj_post = relu(proj_pre)
+    input_pre, input_post, proj_pre, proj_post = (
+        keep(name, 0, new)
+        for name, new in zip(("input_pre", "input_post", "proj_pre", "proj_post"),
+                             (input_pre, input_post, proj_pre, proj_post))
+    )
 
     layer_pre: list[np.ndarray] = []
     layer_sum: list[np.ndarray] = []
@@ -378,21 +460,26 @@ def forward(
     interval = config.residual_interval
     for l in range(config.num_memory_layers):
         # pre covers spans[l] = (a, _); this layer's output covers spans[l + 1]
-        a, (c, d) = spans[l][0], spans[l + 1]
-        pre = affine(v, params.layer_w[l].value, params.layer_b[l].value)
-        z = pre[c - a : d - a]
+        # = (c, d); rows from first[l] and first[l + 1] = f on are new
+        a, (c, d), f = spans[l][0], spans[l + 1], first[l + 1]
+        pre = keep(f"pre{l}", l, affine(v[first[l] - a :], params.layer_w[l].value,
+                                         params.layer_b[l].value))
+        z = pre[f - a : d - a]
         if config.delay_enabled:
             m = sched[l]
             z = z + _apply_shared(
-                _rows(pre, c - a - m, d - a - m), params.shared_past, config.shared_weight_form
+                _rows(pre, f - a - m, d - a - m), params.shared_past, config.shared_weight_form
             )
             if config.direction == "bi":
                 z = z + _apply_shared(
-                    _rows(pre, c - a + m, d - a + m), params.shared_future, config.shared_weight_form
+                    _rows(pre, f - a + m, d - a + m), params.shared_future, config.shared_weight_form
                 )
         out = relu(z)
-        if interval is not None and (l + 1) % interval == 0:
-            out = out + block_input[c - block_start : d - block_start]
+        shortcut = interval is not None and (l + 1) % interval == 0
+        if shortcut:
+            out = out + block_input[f - block_start : d - block_start]
+        z, out = keep(f"sum{l}", l + 1, z), keep(f"out{l}", l + 1, out)
+        if shortcut:
             block_input, block_start = out, c
             shortcut_layers.append(l + 1)
         layer_pre.append(pre)
@@ -668,11 +755,14 @@ def streaming_forward(
 
     The utterance is processed in consecutive chunks; each chunk is
     extended with `lookahead` future frames (and with enough past frames to
-    serve every delay tap), and `forward` computes the logits of the chunk
-    proper only: memory layer l runs on the chunk plus its own reach within
-    that context window, the output blocks on the chunk alone. With
-    lookahead at or beyond the future receptive field this reproduces the
-    full-sequence forward pass.
+    serve every delay tap), and each chunk's logits equal those of
+    `forward` over that context window alone. The chunks share one `Carry`:
+    a stage row computed for one window is reused by the next whenever it
+    does not depend on the window's right edge. A chunk therefore costs its
+    own new rows plus the rows still waiting on lookahead, which later
+    windows recompute; unidirectional models and bidirectional ones with
+    lookahead at or beyond `delay_span` compute every row once, the rows of
+    one full pass, and then reproduce the full-sequence logits.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -680,11 +770,17 @@ def streaming_forward(
         raise ValueError("lookahead must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     t_frames = x.shape[0]
+    if t_frames == 0:
+        raise InputError("empty sequence: utterance has 0 frames")
     out = np.zeros((t_frames, config.num_classes))
+    carry = Carry(t_frames)
     for start in range(0, t_frames, chunk_size):
         end = min(start + chunk_size, t_frames)
         ctx_lo, ctx_hi = context_bounds(config, start, end, t_frames, lookahead)
-        _, logits = forward(params, config, x[ctx_lo:ctx_hi], rows=(start - ctx_lo, end - ctx_lo))
+        carry.origin = ctx_lo
+        _, logits = forward(
+            params, config, x[ctx_lo:ctx_hi], rows=(start - ctx_lo, end - ctx_lo), carry=carry
+        )
         out[start:end] = logits
     return out
 
@@ -716,42 +812,52 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any malformed or truncated file raises ValueError
-    naming `path`."""
+    """Read a checkpoint; any malformed, truncated or non-finite file
+    raises ValueError naming `path`.
+
+    The file is read one parameter at a time, and each parameter's rows
+    are parsed by one `np.loadtxt` call."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a recognized checkpoint file")
+        try:
+            return _read_checkpoint(fh)
+        except KeyError as e:
+            raise ValueError(f"{path}: checkpoint header lacks {e.args[0]!r}") from None
+        except IndexError:
+            raise ValueError(f"{path}: truncated checkpoint") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def _read_checkpoint(fh) -> Model:
+    if fh.readline().rstrip("\n") != _CKPT_MAGIC:
+        raise ValueError("not a recognized checkpoint file")
     kv = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("param "):
-        key, _, val = lines[i].partition(" ")
+    line = fh.readline()
+    while line and not line.startswith("param "):
+        key, _, val = line.rstrip("\n").partition(" ")
         kv[key] = val
-        i += 1
-    try:
-        config = RMNConfig(**{f.name: parse_value(f, kv[f.name]) for f in fields(RMNConfig)})
-        params = init_params(config, seed=0)
-        for p in params.parameters():
-            header = lines[i].split()
-            if header[0] != "param" or header[1] != p.name:
-                raise ValueError(f"expected parameter {p.name!r}, found {lines[i]!r}")
-            ndim = int(header[2])
-            shape = tuple(int(d) for d in header[3 : 3 + ndim])
-            if shape != p.value.shape:
-                raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
-            n_rows = shape[0] if ndim == 2 else 1
-            vals = []
-            for r in range(n_rows):
-                i += 1
-                vals.extend(float(v) for v in lines[i].split())
-            i += 1
-            p.value[...] = np.array(vals).reshape(p.value.shape)
-            p.grad[...] = 0.0
-            p.velocity[...] = 0.0
-    except KeyError as e:
-        raise ValueError(f"{path}: checkpoint header lacks {e.args[0]!r}") from None
-    except IndexError:
-        raise ValueError(f"{path}: truncated checkpoint") from None
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        line = fh.readline()
+    config = RMNConfig(**{f.name: parse_value(f, kv[f.name]) for f in fields(RMNConfig)})
+    params = init_params(config, seed=0)
+    for p in params.parameters():
+        header = line.split()
+        if header[0] != "param" or header[1] != p.name:
+            raise ValueError(f"expected parameter {p.name!r}, found {line.rstrip()!r}")
+        ndim = int(header[2])
+        shape = tuple(int(d) for d in header[3 : 3 + ndim])
+        if shape != p.value.shape:
+            raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
+        rows = (shape[0], p.value.size // shape[0]) if ndim == 2 else (1, p.value.size)
+        lines = list(itertools.islice(fh, rows[0]))
+        if len(lines) < rows[0]:
+            raise IndexError
+        vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        if vals.shape != rows:
+            raise ValueError(f"parameter {p.name!r} has rows of shape {vals.shape}, expected {rows}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"parameter {p.name!r} holds non-finite values")
+        p.value[...] = vals.reshape(p.value.shape)
+        p.grad[...] = 0.0
+        p.velocity[...] = 0.0
+        line = fh.readline()
     return Model(config=config, params=params)

@@ -242,7 +242,8 @@ def evaluate_streaming(
 
 def check_corpus(model: Model, corpus: data_mod.Corpus, name: str) -> None:
     """Reject a corpus the model cannot be trained or scored on: empty,
-    unlabeled, non-finite, or of the wrong feature width or class count."""
+    holding a zero-frame utterance, unlabeled, non-finite, or of the wrong
+    feature width or class count."""
     config = model.config
     if len(corpus) == 0:
         raise ValueError(f"{name} corpus is empty")
@@ -257,6 +258,8 @@ def check_corpus(model: Model, corpus: data_mod.Corpus, name: str) -> None:
             f"{name} corpus has {corpus.num_classes} classes, model emits {config.num_classes}"
         )
     for utt in corpus.utterances:
+        if utt.num_frames == 0:
+            raise ValueError(f"{name} corpus: utterance {utt.id!r} has no frames")
         if utt.labels is None:
             raise ValueError(f"{name} corpus: utterance {utt.id!r} has no labels")
         if not np.isfinite(utt.features).all():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmnlab.cli import ConfigError, load_experiment_config, main
-from rmnlab.data import read_archive, write_archive
+from rmnlab.data import Utterance, read_archive, write_archive
 from rmnlab.model import init_params, load_checkpoint
 
 
@@ -305,6 +305,27 @@ def test_eval_infinite_feature_is_usage_error_naming_the_line(tmp_path, capsys):
     write_archive(corpus, valid)
     # header on line 1, feature rows from line 2: row 3 sits on line 5
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="line 5: non-finite")
+
+
+def test_eval_non_finite_checkpoint_is_usage_error(tmp_path, capsys):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("param layer2_w")) + 1
+    lines[row] = "nan" + lines[row][lines[row].index(" "):]
+    ckpt.write_text("".join(lines))
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid),
+                                mentions=f"{ckpt}: parameter 'layer2_w' holds non-finite values")
+
+
+@pytest.mark.parametrize("stream", [[], ["--stream", "1", "0"]])
+def test_eval_zero_frame_utterance_is_usage_error(tmp_path, capsys, stream):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    corpus = read_archive(valid)
+    corpus.utterances[1] = Utterance("silent", np.zeros((0, corpus.feature_dim)),
+                                     np.zeros(0, dtype=np.int64))
+    write_archive(corpus, valid)
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), *stream,
+                                mentions="'silent' has no frames")
 
 
 def test_train_unlabeled_utterance_is_usage_error(tmp_path, capsys):

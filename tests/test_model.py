@@ -3,12 +3,15 @@ against the naive untied reference implementation, finite-difference
 gradient verification, structural invariants (causality, residual
 identity, zero-init equivalence), analysis tools and checkpoints."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmnlab.model import (
+    Carry,
     ConsistencyError,
     InputError,
     Model,
@@ -32,7 +35,8 @@ from rmnlab.model import (
     shift_rows,
     streaming_forward,
 )
-from rmnlab.numerics import DimensionError, softmax_xent
+from rmnlab import model as model_mod
+from rmnlab.numerics import DimensionError, affine, softmax_xent
 
 from reference_model import ref_backward, ref_forward
 
@@ -631,24 +635,103 @@ def test_streaming_short_lookahead_differs_for_bidirectional():
     assert np.abs(out - full).max() > 1e-6
 
 
+STREAM_VARIANTS = [
+    {},
+    dict(residual_interval=1),
+    dict(residual_interval=3),
+    dict(residual_interval=None),
+    dict(shared_weight_form="full"),
+    dict(delay_enabled=False),
+]
+
+
 @pytest.mark.parametrize("direction", ["uni", "bi"])
 @pytest.mark.parametrize("splice", [0, 2])
 def test_streaming_equals_full_forward_of_each_context_window(direction, splice):
     # every chunk's logits equal those of an untrimmed forward over the
-    # chunk's context window, for every lookahead short of and at the span
-    cfg = tiny_config(num_memory_layers=3, direction=direction,
-                      input_dim=6 * (2 * splice + 1), splice_left=splice, splice_right=splice)
+    # chunk's context window, for every lookahead short of and at the span:
+    # rows carried from one window to the next must be the ones it would
+    # have computed itself
+    for chunk, variant in itertools.product([5, 1, 3, 7], STREAM_VARIANTS):
+        if direction == "bi" and not variant.get("delay_enabled", True):
+            continue
+        cfg = tiny_config(num_memory_layers=3, direction=direction,
+                          input_dim=6 * (2 * splice + 1), splice_left=splice, splice_right=splice,
+                          **variant)
+        params = ready_params(cfg)
+        x = model_input(cfg, RNG.uniform(-2, 2, (37, 6)))
+        for lookahead in range(delay_span(cfg) + 1):
+            out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
+            for start in range(0, 37, chunk):
+                end = min(start + chunk, 37)
+                ctx_lo, ctx_hi = context_bounds(cfg, start, end, 37, lookahead)
+                _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
+                expect = full[start - ctx_lo : end - ctx_lo]
+                assert rel_max(out[start:end], expect) < 1e-12, (chunk, variant, lookahead, start)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 23])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+def test_streaming_computes_each_row_once_given_enough_lookahead(chunk, direction, monkeypatch):
+    # every affine weight sees the rows of one full pass, however the
+    # utterance is chunked; recomputing each window's reach would see more
+    cfg = tiny_config(num_memory_layers=4, direction=direction)
     params = ready_params(cfg)
-    x = model_input(cfg, RNG.uniform(-2, 2, (37, 6)))
-    chunk = 5
-    for lookahead in range(delay_span(cfg) + 1):
-        out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
-        for start in range(0, 37, chunk):
-            end = min(start + chunk, 37)
-            ctx_lo, ctx_hi = context_bounds(cfg, start, end, 37, lookahead)
-            _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
-            expect = full[start - ctx_lo : end - ctx_lo]
-            assert rel_max(out[start:end], expect) < 1e-12, (lookahead, start)
+    x = RNG.uniform(-2, 2, (23, cfg.input_dim))
+    span = delay_span(cfg)
+    lookaheads = range(span + 2) if direction == "uni" else [span, span + 3]
+    weights = [params.input_w, params.proj_w, *params.layer_w, params.out1_w, params.out2_w]
+    rows: dict[int, int] = {}
+
+    def counting_affine(v, w, b):
+        rows[id(w)] = rows.get(id(w), 0) + v.shape[0]
+        return affine(v, w, b)
+
+    monkeypatch.setattr(model_mod, "affine", counting_affine)
+    for lookahead in lookaheads:
+        rows.clear()
+        streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
+        assert [rows.get(id(p.value)) for p in weights] == [23] * len(weights), lookahead
+
+
+@pytest.mark.parametrize("lookahead", [0, 2, "span"])
+def test_streamed_chunk_never_reads_beyond_its_context_window(lookahead):
+    # poisoning every input row at or after chunk k's window edge leaves
+    # chunk k's logits exactly as they were; a pass over the whole
+    # utterance would spread the NaNs everywhere
+    cfg = tiny_config(num_memory_layers=3, direction="bi")
+    params = ready_params(cfg)
+    lookahead = delay_span(cfg) if lookahead == "span" else lookahead
+    t_frames, chunk = 29, 4
+    x = RNG.uniform(-2, 2, (t_frames, cfg.input_dim))
+    clean = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
+    for start in range(0, t_frames, chunk):
+        end = min(start + chunk, t_frames)
+        _, ctx_hi = context_bounds(cfg, start, end, t_frames, lookahead)
+        poisoned = x.copy()
+        poisoned[ctx_hi:] = np.nan
+        out = streaming_forward(params, cfg, poisoned, chunk_size=chunk, lookahead=lookahead)
+        assert np.isfinite(out[start:end]).all(), start
+        assert np.array_equal(out[start:end], clean[start:end]), start
+
+
+def test_carry_rejects_a_window_that_moves_back_or_overruns():
+    cfg = tiny_config(direction="bi")
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (30, cfg.input_dim))
+    carry = Carry(20)
+    carry.origin = 5
+    forward(params, cfg, x[5:15], rows=(0, 4), carry=carry)
+    for lo, hi in ((4, 15), (5, 14), (12, 21)):
+        carry.origin = lo
+        with pytest.raises(ValueError, match="does not follow"):
+            forward(params, cfg, x[lo:hi], rows=(0, 1), carry=carry)
+
+
+def test_streaming_rejects_an_empty_utterance():
+    cfg = tiny_config()
+    with pytest.raises(InputError):
+        streaming_forward(ready_params(cfg), cfg, np.zeros((0, cfg.input_dim)), 4, 1)
 
 
 def test_streaming_rejects_bad_arguments():
@@ -699,6 +782,22 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text("something else entirely\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    cfg = tiny_config(direction="bi")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines.index(next(ln for ln in lines if ln.startswith("param shared_future"))) + 1
+    values = lines[row].split()
+    values[2] = bad
+    lines[row] = " ".join(values) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="shared_future.*non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 @settings(max_examples=60, deadline=None)
