@@ -30,7 +30,7 @@ from .model import (
     randomize_params,
     save_checkpoint,
 )
-from .numerics import DimensionError, LabelError, NumericError
+from .numerics import NumericError
 from .trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -348,11 +348,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
-    except (ConfigError, data_mod.ParseError, data_mod.FormatError, DimensionError,
-            LabelError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:  # every typed input error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

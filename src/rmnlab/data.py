@@ -20,7 +20,6 @@ __all__ = [
     "read_archive",
     "write_archive",
     "splice",
-    "append_constant",
     "mean_var_normalize",
     "gen_delayed_recall",
     "gen_future_recall",
@@ -29,6 +28,11 @@ __all__ = [
 
 # 17 significant digits round-trip any float64 exactly.
 _REAL_FMT = "%.17g"
+
+
+def _format_row(row: np.ndarray) -> str:
+    """One row of reals in the exact text form, space-separated."""
+    return " ".join([_REAL_FMT] * len(row)) % tuple(row.tolist())
 
 
 class ParseError(ValueError):
@@ -102,7 +106,7 @@ def write_archive(corpus: Corpus, path) -> None:
             fh.write(f"{u.id} [ {k}\n")
             rows = u.features
             for t in range(rows.shape[0]):
-                line = " " + " ".join(_REAL_FMT % v for v in rows[t])
+                line = " " + _format_row(rows[t])
                 if t == rows.shape[0] - 1:
                     line += " ]"
                 fh.write(line + "\n")
@@ -240,15 +244,6 @@ def splice(features, left: int, right: int) -> np.ndarray:
     return np.hstack(pieces)
 
 
-def append_constant(features, vec) -> np.ndarray:
-    """Append the same trailing values to every frame (e.g. a speaker code)."""
-    x = np.asarray(features, dtype=np.float64)
-    v = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        return x.copy()
-    return np.hstack([x, np.tile(v, (x.shape[0], 1))])
-
-
 def mean_var_normalize(corpus: Corpus, eps: float = 1e-12) -> Corpus:
     """Global per-dimension zero-mean unit-variance normalization.
 
@@ -272,11 +267,19 @@ def _uniform_classes(rng, k: int, t_frames: int) -> np.ndarray:
     return rng.integers(0, k, size=t_frames)
 
 
+def _require_positive(**args: int) -> None:
+    """Raise ValueError naming the first generator argument below 1."""
+    for name, value in args.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _gen_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int, ahead: bool) -> Corpus:
     """Both recall tasks: label(t) is the class shown `delay` frames before
     t, or after t when `ahead`; frames without a target get class k."""
-    if delay >= t_frames:
-        raise ValueError(f"delay {delay} must be < frames per utterance {t_frames}")
+    _require_positive(classes=k, frames=t_frames, count=n_utts)
+    if not 0 <= delay < t_frames:
+        raise ValueError(f"delay must be >= 0 and < frames ({t_frames}), got {delay}")
     rng = np.random.default_rng(seed)
     utts = []
     for n in range(n_utts):
@@ -313,8 +316,7 @@ def gen_parity(window_w: int, t_frames: int, n_utts: int, seed: int) -> Corpus:
     Features are single-dimension +/-1 frames; label(t) is the count of +1
     frames in the last `window_w` positions (clipped at the start), mod 2.
     """
-    if window_w < 1:
-        raise ValueError("window must be >= 1")
+    _require_positive(window=window_w, frames=t_frames, count=n_utts)
     rng = np.random.default_rng(seed)
     utts = []
     for n in range(n_utts):

@@ -184,17 +184,11 @@ class ModelParams:
         ]
         # shared transforms start at zero: the net first learns a static
         # frame mapping, then grows into the delayed taps
-        if c.shared_weight_form == "diagonal":
-            self.shared_past = Parameter(np.zeros(c.memory_dim), "shared_past")
-        else:
-            self.shared_past = Parameter(np.zeros((c.memory_dim, c.memory_dim)), "shared_past")
-        if c.direction == "bi":
-            if c.shared_weight_form == "diagonal":
-                self.shared_future = Parameter(np.zeros(c.memory_dim), "shared_future")
-            else:
-                self.shared_future = Parameter(np.zeros((c.memory_dim, c.memory_dim)), "shared_future")
-        else:
-            self.shared_future = None
+        shared = (c.memory_dim,) if c.shared_weight_form == "diagonal" else (c.memory_dim,) * 2
+        self.shared_past = Parameter(np.zeros(shared), "shared_past")
+        self.shared_future = (
+            Parameter(np.zeros(shared), "shared_future") if c.direction == "bi" else None
+        )
         self.out1_w = gaussian(c.memory_dim, c.wide_dim, "out1_w")
         self.out1_b = Parameter(np.zeros(c.wide_dim), "out1_b")
         self.out2_w = gaussian(c.wide_dim, c.num_classes, "out2_w")
@@ -248,29 +242,28 @@ class Model:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass replays.
+    """What the backward pass reads, and nothing else.
 
     `x` is the whole input; every other array covers only the rows its
     stage computed, given by `spans` (see `forward`): the input and
     projection blocks and `layer_pre[l]` cover `spans[l]` (l = 0 for the
     blocks), `layer_sum[l]` and `layer_out[l]` cover `spans[l + 1]`, and the
-    output blocks and `logits` cover `spans[-1]`, the requested rows.
-    `layer_pre` holds each layer's own affine output (the tap source),
-    `layer_sum` the relu input after delayed terms, `layer_out` the
-    post-activation value after any residual shortcut.
+    output block and `logits` cover `spans[-1]`, the requested rows.
+    `input_post`, `proj_post` and `out1_post` feed the weight gradients of
+    the affine after them and serve as their blocks' relu masks (relu(p) is
+    positive exactly where p is). `layer_pre` holds each layer's own affine
+    output (the tap source), `layer_sum` the relu input after the delayed
+    terms (the layer's mask), `layer_out` the value after any shortcut.
     """
 
     x: np.ndarray
     spans: list[tuple[int, int]]
-    input_pre: np.ndarray
     input_post: np.ndarray
-    proj_pre: np.ndarray
     proj_post: np.ndarray
     layer_pre: list[np.ndarray]
     layer_sum: list[np.ndarray]
     layer_out: list[np.ndarray]
     shortcut_layers: list[int]      # 1-based layer indices that add a shortcut
-    out1_pre: np.ndarray
     out1_post: np.ndarray
     logits: np.ndarray
     params_ref: ModelParams = field(repr=False, default=None)
@@ -297,10 +290,30 @@ def shift_rows(x: np.ndarray, k: int) -> np.ndarray:
     return _rows(x, -k, x.shape[0] - k)
 
 
-def _apply_shared(h_shifted: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
+def _taps(params: ModelParams, config: RMNConfig) -> list[list[tuple[Parameter, int]]]:
+    """Per memory layer, the (shared transform, k) pairs of its delayed
+    taps; each adds shared(pre[t - k]) to the layer's relu input. The past
+    tap has k = m_l, the bidirectional future tap k = -m_l, and a layer has
+    no taps when delays are disabled."""
+    if not config.delay_enabled:
+        return [[] for _ in range(config.num_memory_layers)]
+    sides = [(params.shared_past, 1)]
+    if config.direction == "bi":
+        sides.append((params.shared_future, -1))
+    return [[(shared, sign * m) for shared, sign in sides] for m in delay_schedule(config)]
+
+
+def _apply_shared(tap: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
     if form == "diagonal":
-        return diag_scale(h_shifted, shared.value)
-    return h_shifted @ shared.value
+        return diag_scale(tap, shared.value)
+    return tap @ shared.value
+
+
+def _apply_shared_backward(tap: np.ndarray, shared: Parameter, form: str, g: np.ndarray):
+    """(g_tap, g_shared): gradients of `_apply_shared` w.r.t. both inputs."""
+    if form == "diagonal":
+        return diag_scale_backward(tap, shared.value, g)
+    return g @ shared.value.T, tap.T @ g
 
 
 def model_input(config: RMNConfig, features: np.ndarray) -> np.ndarray:
@@ -431,7 +444,6 @@ def forward(
     if not 0 <= lo < hi <= t_frames:
         raise ValueError(f"rows {(lo, hi)} outside sequence of {t_frames} frames")
 
-    sched = delay_schedule(config)
     spans = _layer_spans(config, lo, hi, t_frames)
     # first[g]: the first row of spans[g] computed here, the rows before it
     # being carried; keep(name, g, new) turns the new rows into the span
@@ -440,15 +452,10 @@ def forward(
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
     a, b = spans[0]
-    input_pre = affine(x[first[0] : b], params.input_w.value, params.input_b.value)
-    input_post = relu(input_pre)
-    proj_pre = affine(input_post, params.proj_w.value, params.proj_b.value)
-    proj_post = relu(proj_pre)
-    input_pre, input_post, proj_pre, proj_post = (
-        keep(name, 0, new)
-        for name, new in zip(("input_pre", "input_post", "proj_pre", "proj_post"),
-                             (input_pre, input_post, proj_pre, proj_post))
-    )
+    input_post = relu(affine(x[first[0] : b], params.input_w.value, params.input_b.value))
+    proj_post = relu(affine(input_post, params.proj_w.value, params.proj_b.value))
+    input_post = keep("input_post", 0, input_post)
+    proj_post = keep("proj_post", 0, proj_post)
 
     layer_pre: list[np.ndarray] = []
     layer_sum: list[np.ndarray] = []
@@ -458,22 +465,15 @@ def forward(
     v = proj_post
     block_input, block_start = proj_post, a
     interval = config.residual_interval
-    for l in range(config.num_memory_layers):
+    for l, taps in enumerate(_taps(params, config)):
         # pre covers spans[l] = (a, _); this layer's output covers spans[l + 1]
         # = (c, d); rows from first[l] and first[l + 1] = f on are new
         a, (c, d), f = spans[l][0], spans[l + 1], first[l + 1]
         pre = keep(f"pre{l}", l, affine(v[first[l] - a :], params.layer_w[l].value,
                                          params.layer_b[l].value))
         z = pre[f - a : d - a]
-        if config.delay_enabled:
-            m = sched[l]
-            z = z + _apply_shared(
-                _rows(pre, f - a - m, d - a - m), params.shared_past, config.shared_weight_form
-            )
-            if config.direction == "bi":
-                z = z + _apply_shared(
-                    _rows(pre, f - a + m, d - a + m), params.shared_future, config.shared_weight_form
-                )
+        for shared, k in taps:
+            z = z + _apply_shared(_rows(pre, f - a - k, d - a - k), shared, config.shared_weight_form)
         out = relu(z)
         shortcut = interval is not None and (l + 1) % interval == 0
         if shortcut:
@@ -487,22 +487,18 @@ def forward(
         layer_out.append(out)
         v = out
 
-    out1_pre = affine(v, params.out1_w.value, params.out1_b.value)
-    out1_post = relu(out1_pre)
+    out1_post = relu(affine(v, params.out1_w.value, params.out1_b.value))
     logits = affine(out1_post, params.out2_w.value, params.out2_b.value)
 
     cache = ForwardCache(
         x=x,
         spans=spans,
-        input_pre=input_pre,
         input_post=input_post,
-        proj_pre=proj_pre,
         proj_post=proj_post,
         layer_pre=layer_pre,
         layer_sum=layer_sum,
         layer_out=layer_out,
         shortcut_layers=shortcut_layers,
-        out1_pre=out1_pre,
         out1_post=out1_post,
         logits=logits,
         params_ref=params,
@@ -558,17 +554,16 @@ def backward(
     g_out1_post, g_w, g_b = affine_backward(win(cache.out1_post, r_lo), params.out2_w.value, g_logits)
     params.out2_w.accumulate(g_w)
     params.out2_b.accumulate(g_b)
-    g_out1_pre = relu_backward(win(cache.out1_pre, r_lo), g_out1_post)
+    g_out1_pre = relu_backward(win(cache.out1_post, r_lo), g_out1_post)
     g_v, g_w, g_b = affine_backward(win(cache.layer_out[-1], r_lo), params.out1_w.value, g_out1_pre)
     params.out1_w.accumulate(g_w)
     params.out1_b.accumulate(g_b)
 
-    sched = delay_schedule(config)
-    form = config.shared_weight_form
     # gradients waiting to be added when a shortcut source's row is reached;
     # key 0 means the projection output
     pending: dict[int, np.ndarray] = {}
 
+    taps = _taps(params, config)
     for l in range(config.num_memory_layers - 1, -1, -1):
         layer_no = l + 1
         a, c = spans[l][0], spans[l + 1][0]
@@ -577,30 +572,13 @@ def backward(
             pending[src] = pending.get(src, 0.0) + g_v
         g_sum = relu_backward(win(cache.layer_sum[l], c), g_v)
         g_pre = g_sum.copy()
-        if config.delay_enabled:
-            m = sched[l]
-            pre = cache.layer_pre[l]
-            past_tap = _rows(pre, lo - a - m, hi - a - m)
-            if form == "diagonal":
-                g_tap, g_shared = diag_scale_backward(past_tap, params.shared_past.value, g_sum)
-            else:
-                g_tap = g_sum @ params.shared_past.value.T
-                g_shared = past_tap.T @ g_sum
-            params.shared_past.accumulate(g_shared)
-            # tap adjoint: gradient at z(t) lands on pre(t-m), dropped when
-            # t-m falls outside the window
-            g_pre += shift_rows(g_tap, -m)
-            if config.direction == "bi":
-                future_tap = _rows(pre, lo - a + m, hi - a + m)
-                if form == "diagonal":
-                    g_tap, g_shared = diag_scale_backward(
-                        future_tap, params.shared_future.value, g_sum
-                    )
-                else:
-                    g_tap = g_sum @ params.shared_future.value.T
-                    g_shared = future_tap.T @ g_sum
-                params.shared_future.accumulate(g_shared)
-                g_pre += shift_rows(g_tap, m)
+        for shared, k in taps[l]:
+            tap = _rows(cache.layer_pre[l], lo - a - k, hi - a - k)
+            g_tap, g_shared = _apply_shared_backward(tap, shared, config.shared_weight_form, g_sum)
+            shared.accumulate(g_shared)
+            # tap adjoint: gradient at z(t) lands on pre(t-k), dropped when
+            # t-k falls outside the window
+            g_pre += shift_rows(g_tap, -k)
         below = win(cache.layer_out[l - 1] if l > 0 else cache.proj_post, a)
         g_below, g_w, g_b = affine_backward(below, params.layer_w[l].value, g_pre)
         params.layer_w[l].accumulate(g_w)
@@ -610,11 +588,11 @@ def backward(
         g_v = g_below
 
     a = spans[0][0]
-    g_proj_pre = relu_backward(win(cache.proj_pre, a), g_v)
+    g_proj_pre = relu_backward(win(cache.proj_post, a), g_v)
     g_input_post, g_w, g_b = affine_backward(win(cache.input_post, a), params.proj_w.value, g_proj_pre)
     params.proj_w.accumulate(g_w)
     params.proj_b.accumulate(g_b)
-    g_input_pre = relu_backward(win(cache.input_pre, a), g_input_post)
+    g_input_pre = relu_backward(win(cache.input_post, a), g_input_post)
     _, g_w, g_b = affine_backward(cache.x[lo:hi], params.input_w.value, g_input_pre)
     params.input_w.accumulate(g_w)
     params.input_b.accumulate(g_b)
@@ -795,7 +773,6 @@ def streaming_forward(
 # Parameters appear in the fixed declared order of ModelParams.
 
 _CKPT_MAGIC = "rmn-checkpoint v1"
-_REAL_FMT = "%.17g"
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -806,9 +783,8 @@ def save_checkpoint(model: Model, path) -> None:
         for p in model.params.parameters():
             dims = " ".join(str(d) for d in p.value.shape)
             fh.write(f"param {p.name} {p.value.ndim} {dims}\n")
-            rows = p.value.reshape(p.value.shape[0], -1) if p.value.ndim == 2 else p.value.reshape(1, -1)
-            for row in rows:
-                fh.write(" ".join(_REAL_FMT % v for v in row) + "\n")
+            for row in np.atleast_2d(p.value):
+                fh.write(data_mod._format_row(row) + "\n")
 
 
 def load_checkpoint(path) -> Model:
@@ -847,7 +823,7 @@ def _read_checkpoint(fh) -> Model:
         shape = tuple(int(d) for d in header[3 : 3 + ndim])
         if shape != p.value.shape:
             raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
-        rows = (shape[0], p.value.size // shape[0]) if ndim == 2 else (1, p.value.size)
+        rows = np.atleast_2d(p.value).shape
         lines = list(itertools.islice(fh, rows[0]))
         if len(lines) < rows[0]:
             raise IndexError
@@ -857,7 +833,5 @@ def _read_checkpoint(fh) -> Model:
         if not np.isfinite(vals).all():
             raise ValueError(f"parameter {p.name!r} holds non-finite values")
         p.value[...] = vals.reshape(p.value.shape)
-        p.grad[...] = 0.0
-        p.velocity[...] = 0.0
         line = fh.readline()
     return Model(config=config, params=params)

@@ -54,6 +54,25 @@ def test_gen_rejects_impossible_delay(tmp_path):
                str(tmp_path / "x.arc")) == 2
 
 
+@pytest.mark.parametrize("task, flag, value", [
+    ("delayed-recall", "--delay", "-3"),
+    ("future-recall", "--delay", "-1"),
+    ("delayed-recall", "--classes", "0"),
+    ("future-recall", "--classes", "-2"),
+    ("parity", "--frames", "-1"),
+    ("parity", "--frames", "0"),
+    ("delayed-recall", "--count", "0"),
+    ("parity", "--count", "-1"),
+])
+def test_gen_rejects_out_of_range_argument_by_name(tmp_path, capsys, task, flag, value):
+    # numpy's own message ("high <= 0", "negative dimensions ...") or an
+    # empty archive that train and eval later reject would not name the flag
+    out = tmp_path / "x.arc"
+    assert run("gen", "--task", task, flag, value, str(out)) == 2
+    assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- params ----------------------------------------------------------------------
 
 

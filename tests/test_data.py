@@ -11,7 +11,6 @@ from rmnlab.data import (
     FormatError,
     ParseError,
     Utterance,
-    append_constant,
     gen_delayed_recall,
     gen_future_recall,
     gen_parity,
@@ -214,13 +213,6 @@ def test_splice_edge_replication():
 def test_splice_zero_widths_is_identity():
     feats = RNG.normal(size=(5, 3))
     assert np.array_equal(splice(feats, 0, 0), feats)
-
-
-def test_append_constant():
-    feats = np.zeros((3, 2))
-    out = append_constant(feats, 5.0)
-    assert out.shape == (3, 3)
-    assert np.array_equal(out[:, 2], [5.0, 5.0, 5.0])
 
 
 # --- normalization -----------------------------------------------------------

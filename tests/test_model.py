@@ -322,9 +322,9 @@ def test_trimmed_forward_caches_only_the_rows_that_reach_the_output(direction, r
     for l in range(l_count):
         assert len(cache.layer_pre[l]) == length(l)
         assert len(cache.layer_sum[l]) == len(cache.layer_out[l]) == length(l + 1)
-    for a in (cache.input_pre, cache.input_post, cache.proj_pre, cache.proj_post):
+    for a in (cache.input_post, cache.proj_post):
         assert len(a) == length(0)
-    for a in (cache.out1_pre, cache.out1_post, cache.logits):
+    for a in (cache.out1_post, cache.logits):
         assert len(a) == hi - lo
     assert len(cache.x) == t_frames
 
@@ -742,6 +742,71 @@ def test_streaming_rejects_bad_arguments():
         streaming_forward(params, cfg, x, chunk_size=0, lookahead=1)
     with pytest.raises(ValueError):
         streaming_forward(params, cfg, x, chunk_size=4, lookahead=-1)
+
+
+# --- differential fuzzing -------------------------------------------------------
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A small random model, utterance length, logit rows, gradient window
+    and streaming chunk/lookahead."""
+    dim = st.integers(1, 6)
+    direction = draw(st.sampled_from(["uni", "bi"]))
+    l_count = draw(st.integers(1, 6))
+    splice_left, splice_right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    raw_dim = draw(dim)
+    cfg = RMNConfig(
+        input_dim=raw_dim * (splice_left + 1 + splice_right),
+        num_memory_layers=l_count,
+        num_classes=draw(dim),
+        wide_dim=draw(dim),
+        memory_dim=draw(dim),
+        direction=direction,
+        shared_weight_form=draw(st.sampled_from(["diagonal", "full"])),
+        residual_interval=draw(st.none() | st.integers(1, l_count + 1)),
+        delay_enabled=direction == "bi" or draw(st.booleans()),
+        splice_left=splice_left,
+        splice_right=splice_right,
+    )
+    span = delay_span(cfg)
+    t_frames = draw(st.integers(1, span + 3))
+    lo = draw(st.integers(0, t_frames - 1))
+    hi = draw(st.integers(lo + 1, t_frames))
+    g_lo = draw(st.integers(lo, hi - 1))
+    g_hi = draw(st.integers(g_lo + 1, hi))
+    chunk = draw(st.integers(1, t_frames + 1))
+    lookahead = draw(st.integers(0, span + 2))
+    return cfg, raw_dim, t_frames, (lo, hi), (g_lo, g_hi), chunk, lookahead, draw(st.integers(0, 999))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fuzz_cases())
+def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
+    # trimmed forward and windowed backward against the frame loop over the
+    # whole utterance; every streamed chunk against forward over its window
+    cfg, raw_dim, t_frames, (lo, hi), window, chunk, lookahead, seed = case
+    params = ready_params(cfg, seed)
+    rng = np.random.default_rng(seed)
+    x = model_input(cfg, rng.uniform(-2, 2, (t_frames, raw_dim)))
+    labels = rng.integers(0, cfg.num_classes, t_frames)
+    store, ref_logits = ref_forward(params, cfg, x)
+
+    cache, logits = forward(params, cfg, x, rows=(lo, hi))
+    assert rel_max(logits, ref_logits[lo:hi]) < 1e-12
+    params.zero_grads()
+    loss = backward(params, cfg, cache, labels, grad_window=window)
+    ref_loss_val, ref_grads = ref_backward(params, cfg, store, labels, grad_window=window)
+    assert loss == pytest.approx(ref_loss_val, rel=1e-12)
+    worst = grad_errors(params, ref_grads)
+    assert max(worst.values()) < 1e-12, worst
+
+    out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
+    for start in range(0, t_frames, chunk):
+        end = min(start + chunk, t_frames)
+        ctx_lo, ctx_hi = context_bounds(cfg, start, end, t_frames, lookahead)
+        _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
+        assert rel_max(out[start:end], full[start - ctx_lo : end - ctx_lo]) < 1e-12, start
 
 
 # --- checkpoints --------------------------------------------------------------
