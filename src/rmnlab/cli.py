@@ -61,17 +61,21 @@ EXPERIMENT_KEYS.update(
 def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
     """Read a `key = value` file, apply command-line overrides, type-check.
 
-    Lines may carry `#` comments; unknown keys are rejected and all
-    required keys must be present before any work starts.
+    The file must be UTF-8 text. Lines may carry `#` comments; unknown
+    keys are rejected and all required keys must be present before any work
+    starts.
     """
     raw: dict[str, str] = {}
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from None
     for line_no, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        try:
+            text = line.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({e.reason})") from None
         if not text:
             continue
         if "=" not in text:
@@ -115,13 +119,22 @@ def _collect_overrides(args) -> dict[str, str]:
     return {k: v for k, v in vars(args).items() if k in EXPERIMENT_KEYS and v is not None}
 
 
+# `gen` flags that only some tasks read, with their defaults
+GEN_TASK_FLAGS = {"classes": 10, "delay": 6, "window": 3}
+
+
 def cmd_gen(args) -> int:
+    used = ("window",) if args.task == "parity" else ("classes", "delay")
+    for name in GEN_TASK_FLAGS:
+        if name not in used and hasattr(args, name):
+            raise ConfigError(f"task {args.task!r} does not use --{name}")
+    opt = {name: getattr(args, name, default) for name, default in GEN_TASK_FLAGS.items()}
     if args.task == "delayed-recall":
-        corpus = data_mod.gen_delayed_recall(args.classes, args.delay, args.frames, args.count, args.seed)
+        corpus = data_mod.gen_delayed_recall(opt["classes"], opt["delay"], args.frames, args.count, args.seed)
     elif args.task == "future-recall":
-        corpus = data_mod.gen_future_recall(args.classes, args.delay, args.frames, args.count, args.seed)
+        corpus = data_mod.gen_future_recall(opt["classes"], opt["delay"], args.frames, args.count, args.seed)
     else:
-        corpus = data_mod.gen_parity(args.window, args.frames, args.count, args.seed)
+        corpus = data_mod.gen_parity(opt["window"], args.frames, args.count, args.seed)
     data_mod.write_archive(corpus, args.out)
     print(f"wrote {len(corpus)} utterances ({corpus.total_frames()} frames, "
           f"{corpus.num_classes} classes) to {args.out}")
@@ -265,9 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic corpus archive")
     p.add_argument("--task", required=True, choices=["delayed-recall", "future-recall", "parity"])
-    p.add_argument("--classes", type=int, default=10, help="number of symbol classes K")
-    p.add_argument("--delay", type=int, default=6, help="recall distance in frames")
-    p.add_argument("--window", type=int, default=3, help="parity window width")
+    # absent unless given, so that cmd_gen can reject a flag the task ignores
+    for name, text in (("classes", "recall tasks: number of symbol classes K"),
+                       ("delay", "recall tasks: recall distance in frames"),
+                       ("window", "parity: window width")):
+        p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS,
+                       help=f"{text} (default {GEN_TASK_FLAGS[name]})")
     p.add_argument("--frames", type=int, default=100, help="frames per utterance")
     p.add_argument("--count", type=int, default=100, help="number of utterances")
     p.add_argument("--seed", type=int, default=0)

@@ -57,7 +57,6 @@ __all__ = [
     "receptive_field",
     "delay_span",
     "probe_receptive_field",
-    "context_bounds",
     "streaming_forward",
     "save_checkpoint",
     "load_checkpoint",
@@ -348,8 +347,9 @@ class Carry:
     """Stage rows one streamed utterance hands from a context window to the
     next, for `forward(..., carry=...)`.
 
-    Every stage array lives in a buffer as long as the utterance, indexed by
-    utterance row. A row of a stage is *final* when a later window, which
+    Each window is a prefix of the utterance, so a window row is an
+    utterance row. Every stage array lives in a buffer as long as the
+    utterance. A row of a stage is *final* when a later window, which
     reaches at least as far right, cannot change it: the row plus the
     stage's future reach lies inside the window, or the window ends where
     the utterance ends. The future reach of span entry g (see
@@ -357,39 +357,38 @@ class Carry:
     bidirectional models and 0 for unidirectional ones. The next window
     reads the final rows it needs from the buffers and recomputes the rest.
 
-    Set `origin`, the utterance row of the window's first row, before each
-    call; neither edge of a window may lie before the previous window's. A
-    cache built with a carry holds views of its buffers, valid until the
+    Neither the first requested row nor the window's end may lie before the
+    previous call's: the buffers hold only the rows earlier calls reached.
+    A cache built with a carry holds views of its buffers, valid until the
     next call.
     """
 
     def __init__(self, t_frames: int):
         self.t_frames = t_frames
-        self.origin = 0
         self._buffers: dict[str, np.ndarray] = {}
-        self._final: list[int] | None = None  # per span entry, utterance rows
-        self._window = (0, 0)  # the previous window's utterance rows
+        self._final: list[int] | None = None  # per span entry
+        self._last = (0, 0)  # the previous call's first requested row and window end
         self._spans: list[tuple[int, int]] = []
         self._first: list[int] = []
 
     def start(self, config: RMNConfig, spans: list[tuple[int, int]], width: int) -> list[int]:
-        """First row of each span the window computes (window rows), taking
-        the rows before it from the buffers; records the window's final
-        rows for the next call."""
-        o, (lo, hi) = self.origin, self._window
-        if not (lo <= o and hi <= o + width <= self.t_frames):
+        """First row of each span the window [0, width) computes, taking the
+        rows before it from the buffers; records the window's final rows for
+        the next call."""
+        lo, (last_lo, last_width) = spans[-1][0], self._last
+        if not (last_lo <= lo and last_width <= width <= self.t_frames):
             raise ValueError(
-                f"window [{o}, {o + width}) does not follow [{lo}, {hi}) "
-                f"in a {self.t_frames}-frame utterance"
+                f"rows from {lo} of window [0, {width}) do not follow rows from "
+                f"{last_lo} of [0, {last_width}) in a {self.t_frames}-frame utterance"
             )
         done = self._final or [0] * len(spans)
-        first = [min(max(a, done[g] - o), b) for g, (a, b) in enumerate(spans)]
+        first = [min(max(a, done[g]), b) for g, (a, b) in enumerate(spans)]
         future = delay_schedule(config) if config.direction == "bi" else []
         final = []
         for g, (a, b) in enumerate(spans):
-            last = b if o + width == self.t_frames else min(b, width - sum(future[:g]))
-            final.append(o + max(first[g], last))
-        self._final, self._window = final, (o, o + width)
+            last = b if width == self.t_frames else min(b, width - sum(future[:g]))
+            final.append(max(first[g], last))
+        self._final, self._last = final, (lo, width)
         self._spans, self._first = spans, first
         return first
 
@@ -399,9 +398,9 @@ class Carry:
         buf = self._buffers.get(name)
         if buf is None:
             buf = self._buffers[name] = np.empty((self.t_frames,) + new.shape[1:])
-        o, (a, b), d = self.origin, self._spans[g], self._first[g]
-        buf[o + d : o + b] = new
-        return buf[o + a : o + b]
+        (a, b), d = self._spans[g], self._first[g]
+        buf[d:b] = new
+        return buf[a:b]
 
 
 def forward(
@@ -424,11 +423,14 @@ def forward(
     (`_layer_spans`): memory layer l costs the requested rows plus its own
     reach P_l (and F_l) — all the delays from layer l up — and the output
     blocks cost the requested rows only. The logits equal rows lo..hi-1 of
-    a full pass over x: taps beyond x's edges read zeros either way.
+    a full pass over x: taps beyond x's edges read zeros either way. Callers
+    therefore pass all of x they have; `rows` alone decides which of it a
+    chunk needs.
 
-    `carry` makes x one context window of a longer utterance (see `Carry`
-    and `streaming_forward`): each stage then computes only the rows of its
-    span that no earlier window finished, and the logits are unchanged.
+    `carry` makes x a prefix of a longer utterance, one context window (see
+    `Carry` and `streaming_forward`): each stage then computes only the rows
+    of its span that no earlier window finished, and the logits are
+    unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -717,24 +719,15 @@ def probe_receptive_field(
     return past, future
 
 
-def context_bounds(
-    config: RMNConfig, start: int, end: int, t_frames: int, lookahead: int
-) -> tuple[int, int]:
-    """Rows [lo, hi) chunk [start, end) of a t_frames utterance runs on: the
-    `delay_span` rows every delay tap needs before it and `lookahead` rows
-    after it, clipped to the utterance."""
-    return max(0, start - delay_span(config)), min(t_frames, end + lookahead)
-
-
 def streaming_forward(
     params: ModelParams, config: RMNConfig, x, chunk_size: int, lookahead: int
 ) -> np.ndarray:
     """Chunked evaluation with bounded future context.
 
-    The utterance is processed in consecutive chunks; each chunk is
-    extended with `lookahead` future frames (and with enough past frames to
-    serve every delay tap), and each chunk's logits equal those of
-    `forward` over that context window alone. The chunks share one `Carry`:
+    The utterance is processed in consecutive chunks; the context window of
+    a chunk is the prefix of the utterance that ends `lookahead` frames
+    after it, and each chunk's logits equal those of `forward` over that
+    prefix alone. The chunks share one `Carry`:
     a stage row computed for one window is reused by the next whenever it
     does not depend on the window's right edge. A chunk therefore costs its
     own new rows plus the rows still waiting on lookahead, which later
@@ -754,11 +747,7 @@ def streaming_forward(
     carry = Carry(t_frames)
     for start in range(0, t_frames, chunk_size):
         end = min(start + chunk_size, t_frames)
-        ctx_lo, ctx_hi = context_bounds(config, start, end, t_frames, lookahead)
-        carry.origin = ctx_lo
-        _, logits = forward(
-            params, config, x[ctx_lo:ctx_hi], rows=(start - ctx_lo, end - ctx_lo), carry=carry
-        )
+        _, logits = forward(params, config, x[: end + lookahead], rows=(start, end), carry=carry)
         out[start:end] = logits
     return out
 

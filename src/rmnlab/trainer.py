@@ -4,13 +4,14 @@ optional chunk truncation, and per-epoch metrics."""
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import data as data_mod
-from .model import Model, backward, context_bounds, delay_span, forward, model_input, streaming_forward
+from .model import Model, backward, forward, model_input, streaming_forward
 from .numerics import NumericError, softmax_xent
 
 __all__ = [
@@ -47,6 +48,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -120,10 +124,10 @@ def lr_for_epoch(config: TrainConfig, epoch: int, valid_ce_history) -> float:
 
 @dataclass
 class BatchPiece:
-    """One gradient-step unit: a chunk of one utterance plus its context.
+    """One gradient-step unit: a chunk of one utterance.
 
-    Rows [ctx_start, chunk_start) only carry forward state into the chunk;
-    the loss and the gradients are confined to [chunk_start, chunk_end).
+    The forward pass reads the rest of the utterance as context; the loss
+    and the gradients are confined to [chunk_start, chunk_end).
     """
 
     utt_index: int
@@ -185,25 +189,14 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
 
 
 def _train_step(model: Model, corpus, step_pieces, lr, cfg: TrainConfig) -> None:
-    lookahead = delay_span(model.config) if model.config.direction == "bi" else 0
     total_frames = sum(p.chunk_end - p.chunk_start for p in step_pieces)
     for piece in step_pieces:
         utt = corpus.utterances[piece.utt_index]
         x = model_input(model.config, utt.features)
-        lo, hi = context_bounds(
-            model.config, piece.chunk_start, piece.chunk_end, utt.num_frames, lookahead
-        )
-        window = (piece.chunk_start - lo, piece.chunk_end - lo)
-        cache, _ = forward(model.params, model.config, x[lo:hi], rows=window)
+        rows = (piece.chunk_start, piece.chunk_end)
+        cache, _ = forward(model.params, model.config, x, rows=rows)
         scale = (piece.chunk_end - piece.chunk_start) / total_frames
-        backward(
-            model.params,
-            model.config,
-            cache,
-            utt.labels[lo:hi],
-            loss_scale=scale,
-            grad_window=window,
-        )
+        backward(model.params, model.config, cache, utt.labels, loss_scale=scale, grad_window=rows)
     sgd_step(model.params, lr, cfg.momentum, cfg.l2)
 
 

@@ -214,3 +214,33 @@ def ref_backward(params, config, store, labels, loss_scale=1.0, grad_window=None
         grads["input_b"] += g_input_pre[t]
 
     return loss, grads
+
+
+# --- comparing production results against the reference ---------------------
+
+
+def rel_max(a, b):
+    """Largest difference relative to the largest magnitude of b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def named_grads(ref_grads):
+    """The reference's gradients keyed by production parameter name, the
+    untied shared copies summed."""
+    ref = dict(ref_grads)
+    for name in ("layer_w", "layer_b"):
+        for l, g in enumerate(ref.pop(name)):
+            ref[f"layer{l + 1}_{name[-1]}"] = g
+    for name in ("shared_past", "shared_future"):
+        copies = ref.pop(name)
+        if copies is not None:
+            ref[name] = sum(copies)
+    return ref
+
+
+def grad_errors(params, ref_grads):
+    """rel_max of every production gradient against the reference's."""
+    ref = named_grads(ref_grads)
+    return {p.name: rel_max(p.grad, ref[p.name]) for p in params.parameters()}

@@ -3,8 +3,10 @@ the experiment-config loader. Commands run in-process through main()."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmnlab.cli import ConfigError, load_experiment_config, main
+from rmnlab.cli import EXPERIMENT_KEYS, ConfigError, load_experiment_config, main
 from rmnlab.data import Utterance, read_archive, write_archive
 from rmnlab.model import init_params, load_checkpoint
 
@@ -63,13 +65,20 @@ def test_gen_rejects_impossible_delay(tmp_path):
     ("parity", "--frames", "0"),
     ("delayed-recall", "--count", "0"),
     ("parity", "--count", "-1"),
+    ("parity", "--classes", "0"),
+    ("parity", "--delay", "-5"),
+    ("delayed-recall", "--window", "3"),
+    ("future-recall", "--window", "0"),
 ])
 def test_gen_rejects_out_of_range_argument_by_name(tmp_path, capsys, task, flag, value):
     # numpy's own message ("high <= 0", "negative dimensions ...") or an
-    # empty archive that train and eval later reject would not name the flag
+    # empty archive that train and eval later reject would not name the flag;
+    # a flag the task does not read is rejected whatever its value
     out = tmp_path / "x.arc"
     assert run("gen", "--task", task, flag, value, str(out)) == 2
-    assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+    ignored = flag in (("--classes", "--delay") if task == "parity" else ("--window",))
+    said = f"task {task!r} does not use {flag}" if ignored else f"{flag[2:]} must be >= "
+    assert said in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -167,6 +176,37 @@ def test_config_loader_rejects_missing_required(tmp_path):
     path.write_text("wide_dim = 8\n")
     with pytest.raises(ConfigError):
         load_experiment_config(str(path), {})
+
+
+def test_config_loader_rejects_non_utf8_bytes_naming_the_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"wide_dim = 8\nmemory_dim = \xff4\n")
+    with pytest.raises(ConfigError, match=f"{path}:2: not UTF-8"):
+        load_experiment_config(str(path), {})
+
+
+CONFIG_LINES = st.one_of(
+    st.binary(max_size=30),
+    st.tuples(st.sampled_from(sorted(EXPERIMENT_KEYS)), st.text(max_size=12)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}".encode()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(CONFIG_LINES, max_size=12),
+    overrides=st.dictionaries(st.sampled_from(sorted(EXPERIMENT_KEYS)) | st.text(max_size=8),
+                              st.text(max_size=12), max_size=4),
+)
+def test_fuzzed_config_loads_or_raises_config_error(tmp_path_factory, lines, overrides):
+    # keys repeat freely, so later lines and overrides redefine earlier ones
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        settings = load_experiment_config(str(path), overrides)
+    except ConfigError:
+        return
+    assert settings.keys() == EXPERIMENT_KEYS.keys()
 
 
 def test_config_loader_rejects_bad_value(tmp_path):
@@ -365,6 +405,20 @@ def test_train_rejects_unusable_schedule(tmp_path, capsys):
     assert_one_line_usage_error(capsys, "train", str(cfg), "--peak_lr", "-1", mentions="peak_lr")
     assert_one_line_usage_error(capsys, "train", str(cfg), "--base_lr", "0.5", "--peak_lr", "0.4",
                                 mentions="peak_lr")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("base_lr", "nan"), ("l2", "nan"), ("l2", "inf"), ("peak_lr", "inf"),
+])
+def test_train_rejects_non_finite_rate_before_writing(tmp_path, capsys, key, value):
+    # a non-finite rate or decay would only show as a numeric failure at
+    # the first step, after out_dir was created
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid))
+    assert_one_line_usage_error(capsys, "train", str(cfg), f"--{key}", value,
+                                mentions=f"{key} must be finite")
+    assert not (tmp_path / "run").exists()
 
 
 # --- sweep ------------------------------------------------------------------------------

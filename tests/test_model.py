@@ -19,7 +19,6 @@ from rmnlab.model import (
     WindowError,
     backward,
     check_gradients,
-    context_bounds,
     delay_schedule,
     delay_span,
     forward,
@@ -38,7 +37,7 @@ from rmnlab.model import (
 from rmnlab import model as model_mod
 from rmnlab.numerics import DimensionError, affine, softmax_xent
 
-from reference_model import ref_backward, ref_forward
+from reference_model import grad_errors, ref_backward, ref_forward, rel_max
 
 RNG = np.random.default_rng(123)
 
@@ -246,27 +245,6 @@ def test_truncated_window_matches_reference():
     assert rel_err(params.input_w.grad, ref_grads["input_w"]) < 1e-10
     for l in range(cfg.num_memory_layers):
         assert rel_err(params.layer_w[l].grad, ref_grads["layer_w"][l]) < 1e-10
-
-
-def rel_max(a, b):
-    """Largest difference relative to the largest magnitude of b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
-
-
-def grad_errors(params, ref_grads):
-    """rel_max of every production gradient against the reference's, the
-    untied shared copies summed."""
-    ref = dict(ref_grads)
-    for name in ("layer_w", "layer_b"):
-        for l, g in enumerate(ref.pop(name)):
-            ref[f"layer{l + 1}_{name[-1]}"] = g
-    for name in ("shared_past", "shared_future"):
-        copies = ref.pop(name)
-        if copies is not None:
-            ref[name] = sum(copies)
-    return {p.name: rel_max(p.grad, ref[p.name]) for p in params.parameters()}
 
 
 TRIM_VARIANTS = [
@@ -664,10 +642,8 @@ def test_streaming_equals_full_forward_of_each_context_window(direction, splice)
             out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
             for start in range(0, 37, chunk):
                 end = min(start + chunk, 37)
-                ctx_lo, ctx_hi = context_bounds(cfg, start, end, 37, lookahead)
-                _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
-                expect = full[start - ctx_lo : end - ctx_lo]
-                assert rel_max(out[start:end], expect) < 1e-12, (chunk, variant, lookahead, start)
+                _, full = forward(params, cfg, x[: min(37, end + lookahead)])
+                assert rel_max(out[start:end], full[start:end]) < 1e-12, (chunk, variant, lookahead, start)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 23])
@@ -707,9 +683,8 @@ def test_streamed_chunk_never_reads_beyond_its_context_window(lookahead):
     clean = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
     for start in range(0, t_frames, chunk):
         end = min(start + chunk, t_frames)
-        _, ctx_hi = context_bounds(cfg, start, end, t_frames, lookahead)
         poisoned = x.copy()
-        poisoned[ctx_hi:] = np.nan
+        poisoned[min(t_frames, end + lookahead) :] = np.nan
         out = streaming_forward(params, cfg, poisoned, chunk_size=chunk, lookahead=lookahead)
         assert np.isfinite(out[start:end]).all(), start
         assert np.array_equal(out[start:end], clean[start:end]), start
@@ -719,13 +694,29 @@ def test_carry_rejects_a_window_that_moves_back_or_overruns():
     cfg = tiny_config(direction="bi")
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (30, cfg.input_dim))
+    for rows, width in (
+        ((7, 9), 12),    # requested rows start before the previous call's
+        ((8, 9), 11),    # window ends before the previous one
+        ((12, 13), 21),  # window runs past the utterance
+        ((1, 11), 14),   # rows reach back to buffer rows no call has written
+    ):
+        carry = Carry(20)
+        forward(params, cfg, x[:12], rows=(8, 10), carry=carry)
+        with pytest.raises(ValueError, match="do not follow"):
+            forward(params, cfg, x[:width], rows=rows, carry=carry)
+
+
+def test_carry_accepts_windows_that_only_move_forward():
+    # windows off the chunk grid, whose rows and end only move forward,
+    # give the logits of a plain forward over each prefix
+    cfg = tiny_config(direction="bi")
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (20, cfg.input_dim))
     carry = Carry(20)
-    carry.origin = 5
-    forward(params, cfg, x[5:15], rows=(0, 4), carry=carry)
-    for lo, hi in ((4, 15), (5, 14), (12, 21)):
-        carry.origin = lo
-        with pytest.raises(ValueError, match="does not follow"):
-            forward(params, cfg, x[lo:hi], rows=(0, 1), carry=carry)
+    for rows, width in (((8, 10), 12), ((8, 11), 14), ((13, 20), 20)):
+        _, got = forward(params, cfg, x[:width], rows=rows, carry=carry)
+        _, want = forward(params, cfg, x[:width])
+        assert rel_max(got, want[rows[0] : rows[1]]) < 1e-12, rows
 
 
 def test_streaming_rejects_an_empty_utterance():
@@ -784,7 +775,8 @@ def fuzz_cases(draw):
 @given(case=fuzz_cases())
 def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     # trimmed forward and windowed backward against the frame loop over the
-    # whole utterance; every streamed chunk against forward over its window
+    # whole utterance; every streamed chunk against forward over the prefix
+    # that ends at its lookahead edge
     cfg, raw_dim, t_frames, (lo, hi), window, chunk, lookahead, seed = case
     params = ready_params(cfg, seed)
     rng = np.random.default_rng(seed)
@@ -804,9 +796,8 @@ def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
     for start in range(0, t_frames, chunk):
         end = min(start + chunk, t_frames)
-        ctx_lo, ctx_hi = context_bounds(cfg, start, end, t_frames, lookahead)
-        _, full = forward(params, cfg, x[ctx_lo:ctx_hi])
-        assert rel_max(out[start:end], full[start - ctx_lo : end - ctx_lo]) < 1e-12, start
+        _, full = forward(params, cfg, x[: min(t_frames, end + lookahead)])
+        assert rel_max(out[start:end], full[start:end]) < 1e-12, start
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -21,7 +21,10 @@ from rmnlab.trainer import (
     make_minibatches,
     sgd_step,
 )
+from rmnlab import trainer as trainer_mod
 from rmnlab.model import delay_span, forward, model_input, streaming_forward
+
+from reference_model import named_grads, ref_backward, ref_forward, rel_max
 
 RNG = np.random.default_rng(77)
 
@@ -295,6 +298,45 @@ def test_single_step_decreases_batch_loss():
             return
         # too-large rate can overshoot on a random model; retry smaller
     pytest.fail(f"loss did not decrease at any tried rate ({before} -> {after})")
+
+
+# --- chunked training ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+def test_truncated_steps_match_the_reference_gradients(direction, chunk, monkeypatch):
+    # each step's gradients, two utterances a step, against the frame-loop
+    # reference run over the whole utterance with the chunk as its window
+    model = small_model(direction=direction, num_memory_layers=3)
+    corpus = random_corpus(2, 23, seed=5)
+    steps = [step for batch in make_minibatches(corpus, 2, chunk, seed=0) for step in batch]
+    checked = []
+
+    def checking_sgd_step(params, lr, momentum, l2):
+        pieces = steps[len(checked)]
+        total = sum(p.chunk_end - p.chunk_start for p in pieces)
+        want = {}
+        for piece in pieces:
+            utt = corpus.utterances[piece.utt_index]
+            store, _ = ref_forward(params, model.config, utt.features)
+            _, grads = ref_backward(
+                params, model.config, store, utt.labels,
+                loss_scale=(piece.chunk_end - piece.chunk_start) / total,
+                grad_window=(piece.chunk_start, piece.chunk_end),
+            )
+            for name, g in named_grads(grads).items():
+                want[name] = want.get(name, 0.0) + g
+        worst = {p.name: rel_max(p.grad, want[p.name]) for p in params.parameters()}
+        assert max(worst.values()) < 1e-12, (len(checked), worst)
+        checked.append(pieces)
+        sgd_step(params, lr, momentum, l2)
+
+    monkeypatch.setattr(trainer_mod, "sgd_step", checking_sgd_step)
+    for step in steps:
+        trainer_mod._train_step(model, corpus, step, 0.05, TrainConfig())
+    assert len(checked) == -(-23 // chunk)
+    assert all(len(pieces) == 2 for pieces in checked)
 
 
 # --- chunked forward -------------------------------------------------------------
