@@ -104,15 +104,32 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
     return settings
 
 
-def _build_model_and_train_config(settings: dict, corpus: data_mod.Corpus):
+def _load_experiment(args, layer_counts: list[int] | None = None):
+    """Read and validate everything a training run needs, before anything
+    is written: the settings, both corpora (`check_corpus`), the
+    TrainConfig and one RMNConfig per entry of `layer_counts` (default: the
+    configured layer count). Returns (settings, train corpus, valid corpus,
+    TrainConfig, [RMNConfig])."""
+    settings = load_experiment_config(args.config, _collect_overrides(args))
+    train_corpus = data_mod.read_archive(settings["train_archive"])
+    valid_corpus = data_mod.read_archive(settings["valid_archive"])
+
     def picked(cls):
         return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
-    model_config = RMNConfig(
-        input_dim=corpus.feature_dim, num_classes=corpus.num_classes, **picked(RMNConfig)
-    )
-    model_config = replace(model_config, input_dim=corpus.feature_dim * model_config.splice_width)
-    return model_config, TrainConfig(**picked(TrainConfig))
+    if layer_counts is None:
+        layer_counts = [settings["num_memory_layers"]]
+    model_configs = []
+    for layers in layer_counts:
+        c = RMNConfig(**{**picked(RMNConfig), "num_memory_layers": layers},
+                      input_dim=train_corpus.feature_dim, num_classes=train_corpus.num_classes)
+        model_configs.append(replace(c, input_dim=train_corpus.feature_dim * c.splice_width))
+    train_config = TrainConfig(**picked(TrainConfig))
+    # the corpus checks read the input width and class count, which every
+    # layer count shares
+    check_corpus(model_configs[0], train_corpus, "train")
+    check_corpus(model_configs[0], valid_corpus, "valid")
+    return settings, train_corpus, valid_corpus, train_config, model_configs
 
 
 def _collect_overrides(args) -> dict[str, str]:
@@ -141,10 +158,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _run_training(settings: dict) -> int:
-    train_corpus = data_mod.read_archive(settings["train_archive"])
-    valid_corpus = data_mod.read_archive(settings["valid_archive"])
-    model_config, train_config = _build_model_and_train_config(settings, train_corpus)
+def cmd_train(args) -> int:
+    settings, train_corpus, valid_corpus, train_config, (model_config,) = _load_experiment(args)
     model = Model(model_config, init_params(model_config, train_config.seed))
 
     out_dir = settings["out_dir"]
@@ -170,15 +185,10 @@ def _run_training(settings: dict) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    settings = load_experiment_config(args.config, _collect_overrides(args))
-    return _run_training(settings)
-
-
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = data_mod.read_archive(args.corpus)
-    check_corpus(model, corpus, "eval")
+    check_corpus(model.config, corpus, "eval")
     if args.stream is not None:
         chunk, lookahead = args.stream
         ce, fer = evaluate_streaming(model, corpus, chunk, lookahead)
@@ -242,24 +252,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad layer list {args.layers!r}") from None
     if not layer_list:
         raise ConfigError("layer list is empty")
-    settings = load_experiment_config(args.config, _collect_overrides(args))
-    if args.no_delay:
-        settings["delay_enabled"] = False
-
-    train_corpus = data_mod.read_archive(settings["train_archive"])
-    valid_corpus = data_mod.read_archive(settings["valid_archive"])
+    settings, train_corpus, valid_corpus, train_config, model_configs = _load_experiment(
+        args, layer_list)
     os.makedirs(settings["out_dir"], exist_ok=True)
     sweep_path = os.path.join(settings["out_dir"], "sweep.csv")
     rows = []
-    for layers in layer_list:
-        per_run = dict(settings)
-        per_run["num_memory_layers"] = layers
-        model_config, train_config = _build_model_and_train_config(per_run, train_corpus)
+    for model_config in model_configs:
         model = Model(model_config, init_params(model_config, train_config.seed))
         stats = fit(model, train_corpus, valid_corpus, train_config)
         best = min(s.valid_fer for s in stats)
-        rows.append((layers, best))
-        print(f"layers={layers} best_valid_fer={best:.4f}")
+        rows.append((model_config.num_memory_layers, best))
+        print(f"layers={model_config.num_memory_layers} best_valid_fer={best:.4f}")
     with open(sweep_path, "w") as fh:
         fh.write("layers,best_valid_fer\n")
         for layers, best in rows:
@@ -345,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train one model per layer count")
     p.add_argument("config")
     p.add_argument("--layers", required=True, help="comma-separated layer counts, e.g. 2,4,6,8")
-    p.add_argument("--no-delay", action="store_true", help="sweep the delay-disabled baseline")
     for key in EXPERIMENT_KEYS:
         p.add_argument(f"--{key}", dest=key, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)

@@ -243,16 +243,19 @@ class Model:
 class ForwardCache:
     """What the backward pass reads, and nothing else.
 
-    `x` is the whole input; every other array covers only the rows its
-    stage computed, given by `spans` (see `forward`): the input and
-    projection blocks and `layer_pre[l]` cover `spans[l]` (l = 0 for the
-    blocks), `layer_sum[l]` and `layer_out[l]` cover `spans[l + 1]`, and the
-    output block and `logits` cover `spans[-1]`, the requested rows.
-    `input_post`, `proj_post` and `out1_post` feed the weight gradients of
-    the affine after them and serve as their blocks' relu masks (relu(p) is
-    positive exactly where p is). `layer_pre` holds each layer's own affine
-    output (the tap source), `layer_sum` the relu input after the delayed
-    terms (the layer's mask), `layer_out` the value after any shortcut.
+    The memory stack's outputs form one list, outs = [proj_post] +
+    layer_out: memory layer l reads outs[l] and writes outs[l + 1]. `x` is
+    the whole input; every other array covers only the rows its stage
+    computed, given by `spans` (see `forward`): outs[j] covers spans[j],
+    `input_post` and `layer_pre[l]` cover spans[l] like the outs[l] they
+    feed (l = 0 for the input block), `layer_sum[l]` covers spans[l + 1]
+    like outs[l + 1], and `out1_post` and `logits` cover spans[-1], the
+    requested rows. `input_post`, `proj_post` and `out1_post` feed the
+    weight gradients of the affine after them and serve as their blocks'
+    relu masks (relu(p) is positive exactly where p is). `layer_pre` holds
+    each layer's own affine output (the tap source), `layer_sum` the relu
+    input after the delayed terms (the layer's mask), `layer_out` the value
+    after any shortcut.
     """
 
     x: np.ndarray
@@ -262,15 +265,15 @@ class ForwardCache:
     layer_pre: list[np.ndarray]
     layer_sum: list[np.ndarray]
     layer_out: list[np.ndarray]
-    shortcut_layers: list[int]      # 1-based layer indices that add a shortcut
     out1_post: np.ndarray
     logits: np.ndarray
     params_ref: ModelParams = field(repr=False, default=None)
 
 
 def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of x; an index outside x gives a zero row. A
-    range inside x comes back as a view."""
+    """Rows start..stop-1 of x; an index outside x gives a zero row, so a
+    tap that falls outside the utterance contributes nothing. A range
+    inside x comes back as a view."""
     if start >= 0 and stop <= x.shape[0]:
         return x[start:stop]
     out = np.zeros((stop - start,) + x.shape[1:], dtype=x.dtype)
@@ -280,26 +283,29 @@ def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def shift_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """Shift rows later by k (k>0) or earlier by -k (k<0), zero-filling.
+def _wiring(
+    params: ModelParams, config: RMNConfig
+) -> list[tuple[list[tuple[Parameter, int]], int | None]]:
+    """Per memory layer l, which reads outs[l] and writes outs[l + 1] (outs
+    = [projection output] + memory layer outputs): its delayed taps and its
+    shortcut source.
 
-    out[t] = x[t-k] when that row exists, else zeros; a tap that falls
-    outside the utterance contributes nothing.
-    """
-    return _rows(x, -k, x.shape[0] - k)
-
-
-def _taps(params: ModelParams, config: RMNConfig) -> list[list[tuple[Parameter, int]]]:
-    """Per memory layer, the (shared transform, k) pairs of its delayed
-    taps; each adds shared(pre[t - k]) to the layer's relu input. The past
-    tap has k = m_l, the bidirectional future tap k = -m_l, and a layer has
-    no taps when delays are disabled."""
-    if not config.delay_enabled:
-        return [[] for _ in range(config.num_memory_layers)]
+    The taps are (shared transform, k) pairs; each adds shared(pre[t - k])
+    to the layer's relu input. The past tap has k = m_l, the bidirectional
+    future tap k = -m_l, and a layer has no taps when delays are disabled.
+    The shortcut source j adds outs[j] to the layer's relu output: every
+    `residual_interval`-th layer bridges back to the start of its block,
+    and the other layers (all of them without residuals) have None."""
     sides = [(params.shared_past, 1)]
     if config.direction == "bi":
         sides.append((params.shared_future, -1))
-    return [[(shared, sign * m) for shared, sign in sides] for m in delay_schedule(config)]
+    delays = delay_schedule(config)
+    n = config.residual_interval
+    return [
+        ([(shared, sign * delays[l]) for shared, sign in sides] if delays else [],
+         l + 1 - n if n is not None and (l + 1) % n == 0 else None)
+        for l in range(config.num_memory_layers)
+    ]
 
 
 def _apply_shared(tap: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
@@ -453,43 +459,32 @@ def forward(
         first, keep = [a for a, _ in spans], lambda name, g, new: new
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
-    a, b = spans[0]
-    input_post = relu(affine(x[first[0] : b], params.input_w.value, params.input_b.value))
+    input_post = relu(affine(x[first[0] : spans[0][1]], params.input_w.value, params.input_b.value))
     proj_post = relu(affine(input_post, params.proj_w.value, params.proj_b.value))
     input_post = keep("input_post", 0, input_post)
     proj_post = keep("proj_post", 0, proj_post)
 
     layer_pre: list[np.ndarray] = []
     layer_sum: list[np.ndarray] = []
-    layer_out: list[np.ndarray] = []
-    shortcut_layers: list[int] = []
-
-    v = proj_post
-    block_input, block_start = proj_post, a
-    interval = config.residual_interval
-    for l, taps in enumerate(_taps(params, config)):
-        # pre covers spans[l] = (a, _); this layer's output covers spans[l + 1]
-        # = (c, d); rows from first[l] and first[l + 1] = f on are new
-        a, (c, d), f = spans[l][0], spans[l + 1], first[l + 1]
-        pre = keep(f"pre{l}", l, affine(v[first[l] - a :], params.layer_w[l].value,
-                                         params.layer_b[l].value))
+    outs = [proj_post]
+    for l, (taps, src) in enumerate(_wiring(params, config)):
+        # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
+        # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
+        a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
+        pre = keep(f"pre{l}", l, affine(outs[l][first[l] - a :], params.layer_w[l].value,
+                                        params.layer_b[l].value))
         z = pre[f - a : d - a]
         for shared, k in taps:
             z = z + _apply_shared(_rows(pre, f - a - k, d - a - k), shared, config.shared_weight_form)
         out = relu(z)
-        shortcut = interval is not None and (l + 1) % interval == 0
-        if shortcut:
-            out = out + block_input[f - block_start : d - block_start]
-        z, out = keep(f"sum{l}", l + 1, z), keep(f"out{l}", l + 1, out)
-        if shortcut:
-            block_input, block_start = out, c
-            shortcut_layers.append(l + 1)
+        if src is not None:
+            c = spans[src][0]
+            out = out + outs[src][f - c : d - c]
         layer_pre.append(pre)
-        layer_sum.append(z)
-        layer_out.append(out)
-        v = out
+        layer_sum.append(keep(f"sum{l}", l + 1, z))
+        outs.append(keep(f"out{l}", l + 1, out))
 
-    out1_post = relu(affine(v, params.out1_w.value, params.out1_b.value))
+    out1_post = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
     logits = affine(out1_post, params.out2_w.value, params.out2_b.value)
 
     cache = ForwardCache(
@@ -499,8 +494,7 @@ def forward(
         proj_post=proj_post,
         layer_pre=layer_pre,
         layer_sum=layer_sum,
-        layer_out=layer_out,
-        shortcut_layers=shortcut_layers,
+        layer_out=outs[1:],
         out1_post=out1_post,
         logits=logits,
         params_ref=params,
@@ -553,52 +547,45 @@ def backward(
     g_logits *= loss_scale
 
     # classifier block
-    g_out1_post, g_w, g_b = affine_backward(win(cache.out1_post, r_lo), params.out2_w.value, g_logits)
-    params.out2_w.accumulate(g_w)
-    params.out2_b.accumulate(g_b)
+    g_out1_post = _affine_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits)
     g_out1_pre = relu_backward(win(cache.out1_post, r_lo), g_out1_post)
-    g_v, g_w, g_b = affine_backward(win(cache.layer_out[-1], r_lo), params.out1_w.value, g_out1_pre)
-    params.out1_w.accumulate(g_w)
-    params.out1_b.accumulate(g_b)
-
-    # gradients waiting to be added when a shortcut source's row is reached;
-    # key 0 means the projection output
-    pending: dict[int, np.ndarray] = {}
-
-    taps = _taps(params, config)
-    for l in range(config.num_memory_layers - 1, -1, -1):
-        layer_no = l + 1
-        a, c = spans[l][0], spans[l + 1][0]
-        if layer_no in cache.shortcut_layers:
-            src = layer_no - config.residual_interval
-            pending[src] = pending.get(src, 0.0) + g_v
-        g_sum = relu_backward(win(cache.layer_sum[l], c), g_v)
+    outs = [cache.proj_post] + cache.layer_out
+    # g_outs[j]: the gradient at outs[j] from the readers of outs[j] walked so
+    # far, the layer above it and any shortcut
+    g_outs = {len(outs) - 1: _affine_grads(
+        win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre)}
+    for l, (taps, src) in reversed(list(enumerate(_wiring(params, config)))):
+        g_out = g_outs.pop(l + 1)
+        if src is not None:
+            g_outs[src] = g_out
+        a = spans[l][0]
+        g_sum = relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
         g_pre = g_sum.copy()
-        for shared, k in taps[l]:
+        for shared, k in taps:
             tap = _rows(cache.layer_pre[l], lo - a - k, hi - a - k)
             g_tap, g_shared = _apply_shared_backward(tap, shared, config.shared_weight_form, g_sum)
             shared.accumulate(g_shared)
             # tap adjoint: gradient at z(t) lands on pre(t-k), dropped when
             # t-k falls outside the window
-            g_pre += shift_rows(g_tap, -k)
-        below = win(cache.layer_out[l - 1] if l > 0 else cache.proj_post, a)
-        g_below, g_w, g_b = affine_backward(below, params.layer_w[l].value, g_pre)
-        params.layer_w[l].accumulate(g_w)
-        params.layer_b[l].accumulate(g_b)
-        if l in pending:
-            g_below = g_below + pending.pop(l)
-        g_v = g_below
+            g_pre += _rows(g_tap, k, hi - lo + k)
+        g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_pre)
+        g_outs[l] = g_below + g_outs[l] if l in g_outs else g_below
 
     a = spans[0][0]
-    g_proj_pre = relu_backward(win(cache.proj_post, a), g_v)
-    g_input_post, g_w, g_b = affine_backward(win(cache.input_post, a), params.proj_w.value, g_proj_pre)
-    params.proj_w.accumulate(g_w)
-    params.proj_b.accumulate(g_b)
+    g_proj_pre = relu_backward(win(cache.proj_post, a), g_outs[0])
+    g_input_post = _affine_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g_proj_pre)
     g_input_pre = relu_backward(win(cache.input_post, a), g_input_post)
-    _, g_w, g_b = affine_backward(cache.x[lo:hi], params.input_w.value, g_input_pre)
-    params.input_w.accumulate(g_w)
-    params.input_b.accumulate(g_b)
+    _affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g_input_pre)
     return loss
+
+
+def _affine_grads(x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray) -> np.ndarray:
+    """Accumulate the weight and bias gradients of `affine(x, w, b)` given
+    its output gradient g; returns the gradient at x."""
+    g_x, g_w, g_b = affine_backward(x, w.value, g)
+    w.accumulate(g_w)
+    b.accumulate(g_b)
+    return g_x
 
 
 def check_gradients(

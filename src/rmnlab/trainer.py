@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import data as data_mod
-from .model import Model, backward, forward, model_input, streaming_forward
+from .model import Model, RMNConfig, backward, forward, model_input, streaming_forward
 from .numerics import NumericError, softmax_xent
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
 ]
 
 SCHEDULES = ("ramp_then_halve", "constant_then_halve")
-
-METRICS_HEADER = "epoch,lr,train_ce,valid_ce,train_fer,valid_fer,wall_seconds"
 
 
 @dataclass
@@ -87,11 +85,13 @@ class EpochStats:
     wall_seconds: float
 
 
+METRICS_HEADER = ",".join(f.name for f in fields(EpochStats))
+
+
 def format_stats_row(s: EpochStats) -> str:
-    return (
-        f"{s.epoch},{s.lr!r},{s.train_ce!r},{s.valid_ce!r},"
-        f"{s.train_fer!r},{s.valid_fer!r},{s.wall_seconds!r}"
-    )
+    """One `metrics.csv` row: the fields of `s` in declaration order, floats
+    in their shortest round-trip form."""
+    return ",".join(repr(getattr(s, f.name)) for f in fields(EpochStats))
 
 
 def lr_for_epoch(config: TrainConfig, epoch: int, valid_ce_history) -> float:
@@ -233,11 +233,10 @@ def evaluate_streaming(
     )
 
 
-def check_corpus(model: Model, corpus: data_mod.Corpus, name: str) -> None:
-    """Reject a corpus the model cannot be trained or scored on: empty,
-    holding a zero-frame utterance, unlabeled, non-finite, or of the wrong
-    feature width or class count."""
-    config = model.config
+def check_corpus(config: RMNConfig, corpus: data_mod.Corpus, name: str) -> None:
+    """Reject a corpus a model of this config cannot be trained or scored
+    on: empty, holding a zero-frame utterance, unlabeled, non-finite, or of
+    the wrong feature width or class count."""
     if len(corpus) == 0:
         raise ValueError(f"{name} corpus is empty")
     span = config.splice_width
@@ -272,8 +271,8 @@ def fit(
     base_lr / 64. `on_epoch(stats, model)` runs after every epoch; a truthy
     return requests an early stop. Fully deterministic for a given seed.
     """
-    check_corpus(model, train_corpus, "train")
-    check_corpus(model, valid_corpus, "valid")
+    check_corpus(model.config, train_corpus, "train")
+    check_corpus(model.config, valid_corpus, "valid")
 
     history: list[EpochStats] = []
     valid_ce_history: list[float] = []

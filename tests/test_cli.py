@@ -395,6 +395,7 @@ def test_train_unlabeled_utterance_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(base_config_text(tmp_path, train, valid))
     assert_one_line_usage_error(capsys, "train", str(cfg), mentions="no labels")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_unusable_schedule(tmp_path, capsys):
@@ -440,7 +441,27 @@ def test_sweep_no_delay_variant(tmp_path):
     train, valid = write_corpora(tmp_path)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(base_config_text(tmp_path, train, valid, max_epochs="1"))
-    assert run("sweep", str(cfg), "--layers", "2", "--no-delay") == 0
+    assert run("sweep", str(cfg), "--layers", "2", "--delay_enabled", "off") == 0
+    rows = (tmp_path / "run" / "sweep.csv").read_text().strip().split("\n")
+    assert len(rows) == 2 and rows[1].startswith("2,")
+
+
+@pytest.mark.parametrize("layers, extra, unlabeled, mentions", [
+    ("0", [], False, "num_memory_layers must be >= 1"),
+    ("2,3", ["--l2", "nan"], False, "l2 must be finite"),
+    ("2", [], True, "no labels"),
+])
+def test_sweep_usage_error_writes_nothing(tmp_path, capsys, layers, extra, unlabeled, mentions):
+    train, valid = write_corpora(tmp_path)
+    if unlabeled:
+        corpus = read_archive(train)
+        corpus.utterances[0].labels = None
+        write_archive(corpus, train)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid))
+    assert_one_line_usage_error(capsys, "sweep", str(cfg), "--layers", layers, *extra,
+                                mentions=mentions)
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_rejects_empty_layer_list(tmp_path):

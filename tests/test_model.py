@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from rmnlab.model import (
     Carry,
@@ -31,9 +32,9 @@ from rmnlab.model import (
     randomize_params,
     receptive_field,
     save_checkpoint,
-    shift_rows,
     streaming_forward,
 )
+from rmnlab.model import _rows
 from rmnlab import model as model_mod
 from rmnlab.numerics import DimensionError, affine, softmax_xent
 
@@ -109,22 +110,24 @@ def test_delay_span_closed_form():
     assert delay_span(tiny_config(delay_enabled=False)) == 0
 
 
-# --- shift helper ------------------------------------------------------------
+# --- row helper --------------------------------------------------------------
 
 
 def test_shift_rows_both_directions():
+    # _rows(x, -k, T - k) is x shifted later by k (earlier by -k), zero-filled
     x = np.arange(8.0).reshape(4, 2)
-    assert np.array_equal(shift_rows(x, 1)[0], [0.0, 0.0])
-    assert np.array_equal(shift_rows(x, 1)[1:], x[:-1])
-    assert np.array_equal(shift_rows(x, -2)[:2], x[2:])
-    assert np.array_equal(shift_rows(x, -2)[2:], np.zeros((2, 2)))
-    assert np.array_equal(shift_rows(x, 0), x)
+    assert np.array_equal(_rows(x, -1, 3)[0], [0.0, 0.0])
+    assert np.array_equal(_rows(x, -1, 3)[1:], x[:-1])
+    assert np.array_equal(_rows(x, 2, 6)[:2], x[2:])
+    assert np.array_equal(_rows(x, 2, 6)[2:], np.zeros((2, 2)))
+    assert np.array_equal(_rows(x, 0, 4), x)
+    assert np.shares_memory(_rows(x, 1, 3), x)
 
 
 def test_shift_rows_beyond_length_is_all_zero():
     x = np.ones((3, 2))
-    assert np.array_equal(shift_rows(x, 3), np.zeros((3, 2)))
-    assert np.array_equal(shift_rows(x, -7), np.zeros((3, 2)))
+    assert np.array_equal(_rows(x, -3, 0), np.zeros((3, 2)))
+    assert np.array_equal(_rows(x, 7, 10), np.zeros((3, 2)))
 
 
 # --- hand-computed scalar oracle --------------------------------------------
@@ -433,18 +436,26 @@ def test_bidirectional_output_depends_on_future():
     assert not np.array_equal(base[:9], moved[:9])
 
 
+def assert_shortcuts(cache, sources):
+    """Every layer's output is relu(layer_sum) exactly, plus outs[j] for a
+    layer numbered n (from 1) with sources[n] = j, where outs = [projection
+    output] + layer outputs."""
+    outs = [cache.proj_post] + cache.layer_out
+    for n, (z, out) in enumerate(zip(cache.layer_sum, cache.layer_out), start=1):
+        expected = np.maximum(z, 0.0)
+        if n in sources:
+            expected = expected + outs[sources[n]]
+        assert np.array_equal(out, expected), f"layer {n}"
+
+
 def test_residual_shortcut_is_exact_identity():
     cfg = tiny_config(num_memory_layers=4, residual_interval=2)
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (8, cfg.input_dim))
     cache, _ = forward(params, cfg, x)
-    assert cache.shortcut_layers == [2, 4]
-    # out = relu(sum) + block_input exactly, block input being the previous
-    # shortcut output (the projection for the first block)
-    relu2 = np.maximum(cache.layer_sum[1], 0.0)
-    assert np.array_equal(cache.layer_out[1], relu2 + cache.proj_post)
-    relu4 = np.maximum(cache.layer_sum[3], 0.0)
-    assert np.array_equal(cache.layer_out[3], relu4 + cache.layer_out[1])
+    # each shortcut adds the previous shortcut's output (the projection for
+    # the first block)
+    assert_shortcuts(cache, {2: 0, 4: 2})
 
 
 def test_trailing_partial_block_gets_no_shortcut():
@@ -452,9 +463,8 @@ def test_trailing_partial_block_gets_no_shortcut():
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (6, cfg.input_dim))
     cache, _ = forward(params, cfg, x)
-    assert cache.shortcut_layers == [3]
     # layers 4 and 5 are plain relu(sum)
-    assert np.array_equal(cache.layer_out[4], np.maximum(cache.layer_sum[4], 0.0))
+    assert_shortcuts(cache, {3: 0})
 
 
 def test_forward_input_errors():
@@ -798,6 +808,66 @@ def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
         end = min(start + chunk, t_frames)
         _, full = forward(params, cfg, x[: min(t_frames, end + lookahead)])
         assert rel_max(out[start:end], full[start:end]) < 1e-12, start
+
+
+class CarryMachine(RuleBasedStateMachine):
+    """One `Carry` driven by a random sequence of context windows: prefixes
+    x[:width] with requested rows [lo, hi). A window is valid when it lies
+    inside the utterance and neither its first row nor its end moves back;
+    then its logits match a plain forward over the prefix. Any other window
+    raises ValueError and leaves the carry as it was."""
+
+    @initialize(data=st.data())
+    def setup(self, data):
+        direction = data.draw(st.sampled_from(["uni", "bi"]))
+        l_count = data.draw(st.integers(1, 4))
+        splice = data.draw(st.integers(0, 1))
+        self.cfg = tiny_config(
+            input_dim=2 * (2 * splice + 1),
+            num_memory_layers=l_count,
+            direction=direction,
+            shared_weight_form=data.draw(st.sampled_from(["diagonal", "full"])),
+            residual_interval=data.draw(st.none() | st.integers(1, l_count + 1)),
+            delay_enabled=direction == "bi" or data.draw(st.booleans()),
+            splice_left=splice,
+            splice_right=splice,
+        )
+        self.t_frames = data.draw(st.integers(1, delay_span(self.cfg) + 3))
+        seed = data.draw(st.integers(0, 999))
+        self.params = ready_params(self.cfg, seed)
+        # two rows past the utterance, so that a window can overrun it
+        raw = np.random.default_rng(seed).uniform(-2, 2, (self.t_frames + 2, 2))
+        self.x = model_input(self.cfg, raw)
+        self.carry = Carry(self.t_frames)
+        self.last = (0, 0)  # first requested row and end of the last valid window
+
+    def run(self, lo, hi, width):
+        last_lo, last_width = self.last
+        if last_lo <= lo and hi <= width and last_width <= width <= self.t_frames:
+            _, got = forward(self.params, self.cfg, self.x[:width], rows=(lo, hi), carry=self.carry)
+            _, want = forward(self.params, self.cfg, self.x[:width])
+            assert rel_max(got, want[lo:hi]) < 1e-12
+            self.last = (lo, width)
+        else:
+            with pytest.raises(ValueError):
+                forward(self.params, self.cfg, self.x[:width], rows=(lo, hi), carry=self.carry)
+
+    @rule(data=st.data())
+    def valid_window(self, data):
+        last_lo, last_width = self.last
+        width = data.draw(st.integers(max(last_width, 1), self.t_frames))
+        lo = data.draw(st.integers(last_lo, width - 1))
+        self.run(lo, data.draw(st.integers(lo + 1, width)), width)
+
+    @rule(data=st.data())
+    def any_window(self, data):
+        width = data.draw(st.integers(1, self.t_frames + 2))
+        lo = data.draw(st.integers(0, width - 1))
+        self.run(lo, data.draw(st.integers(lo + 1, self.t_frames + 2)), width)
+
+
+CarryMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=10, deadline=None)
+TestCarryMachine = CarryMachine.TestCase
 
 
 # --- checkpoints --------------------------------------------------------------

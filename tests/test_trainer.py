@@ -487,7 +487,7 @@ def test_check_corpus_rejects_a_zero_frame_utterance():
     corpus = random_corpus(3, t_frames=10, seed=1)
     corpus.utterances[1] = Utterance("silent", np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="'silent' has no frames"):
-        check_corpus(model, corpus, "eval")
+        check_corpus(model.config, corpus, "eval")
     with pytest.raises(ValueError, match="'silent' has no frames"):
         fit(model, corpus, random_corpus(2, t_frames=10, seed=2), TrainConfig(max_epochs=1))
 
