@@ -58,12 +58,15 @@ EXPERIMENT_KEYS.update(
 )
 
 
-def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
+def load_experiment_config(
+    path: str, overrides: dict[str, str], supplied: tuple[str, ...] = ()
+) -> dict:
     """Read a `key = value` file, apply command-line overrides, type-check.
 
     The file must be UTF-8 text. Lines may carry `#` comments; unknown
     keys are rejected and all required keys must be present before any work
-    starts.
+    starts, except the keys in `supplied`, which the caller sets itself and
+    which are left out of the result when absent.
     """
     raw: dict[str, str] = {}
     try:
@@ -97,6 +100,8 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> dict:
                 settings[key] = parse(raw[key])
             except ValueError as e:
                 raise ConfigError(f"bad value for {key!r}: {raw[key]!r} ({e})") from None
+        elif key in supplied:
+            continue
         elif default is MISSING:
             raise ConfigError(f"missing required key {key!r}")
         else:
@@ -110,7 +115,9 @@ def _load_experiment(args, layer_counts: list[int] | None = None):
     TrainConfig and one RMNConfig per entry of `layer_counts` (default: the
     configured layer count). Returns (settings, train corpus, valid corpus,
     TrainConfig, [RMNConfig])."""
-    settings = load_experiment_config(args.config, _collect_overrides(args))
+    # a sweep's --layers gives every run its depth
+    supplied = () if layer_counts is None else ("num_memory_layers",)
+    settings = load_experiment_config(args.config, _collect_overrides(args), supplied)
     train_corpus = data_mod.read_archive(settings["train_archive"])
     valid_corpus = data_mod.read_archive(settings["valid_archive"])
 

@@ -160,38 +160,41 @@ class ModelParams:
     layers 1..L, shared past transform, shared future transform (bi only),
     first output block, classifier block. Exactly one shared past (and
     future) transform exists regardless of depth.
+
+    `rng` draws the training init. With `rng` None the values are left
+    unset, for a checkpoint reader to fill.
     """
 
-    def __init__(self, config: RMNConfig, rng: np.random.Generator):
+    def __init__(self, config: RMNConfig, rng: np.random.Generator | None):
         c = config
 
         def gaussian(rows, cols, name):
+            if rng is None:
+                return Parameter(np.empty((rows, cols)), name)
             std = 0.2 / np.sqrt(rows)
             return Parameter(rng.normal(0.0, std, size=(rows, cols)), name)
 
+        def zeros(shape, name):
+            return Parameter(np.empty(shape) if rng is None else np.zeros(shape), name)
+
         self.input_w = gaussian(c.input_dim, c.wide_dim, "input_w")
-        self.input_b = Parameter(np.zeros(c.wide_dim), "input_b")
+        self.input_b = zeros(c.wide_dim, "input_b")
         self.proj_w = gaussian(c.wide_dim, c.memory_dim, "proj_w")
-        self.proj_b = Parameter(np.zeros(c.memory_dim), "proj_b")
+        self.proj_b = zeros(c.memory_dim, "proj_b")
         self.layer_w = [
             gaussian(c.memory_dim, c.memory_dim, f"layer{l + 1}_w")
             for l in range(c.num_memory_layers)
         ]
-        self.layer_b = [
-            Parameter(np.zeros(c.memory_dim), f"layer{l + 1}_b")
-            for l in range(c.num_memory_layers)
-        ]
+        self.layer_b = [zeros(c.memory_dim, f"layer{l + 1}_b") for l in range(c.num_memory_layers)]
         # shared transforms start at zero: the net first learns a static
         # frame mapping, then grows into the delayed taps
         shared = (c.memory_dim,) if c.shared_weight_form == "diagonal" else (c.memory_dim,) * 2
-        self.shared_past = Parameter(np.zeros(shared), "shared_past")
-        self.shared_future = (
-            Parameter(np.zeros(shared), "shared_future") if c.direction == "bi" else None
-        )
+        self.shared_past = zeros(shared, "shared_past")
+        self.shared_future = zeros(shared, "shared_future") if c.direction == "bi" else None
         self.out1_w = gaussian(c.memory_dim, c.wide_dim, "out1_w")
-        self.out1_b = Parameter(np.zeros(c.wide_dim), "out1_b")
+        self.out1_b = zeros(c.wide_dim, "out1_b")
         self.out2_w = gaussian(c.wide_dim, c.num_classes, "out2_w")
-        self.out2_b = Parameter(np.zeros(c.num_classes), "out2_b")
+        self.out2_b = zeros(c.num_classes, "out2_b")
 
     def parameters(self) -> list[Parameter]:
         out = [self.input_w, self.input_b, self.proj_w, self.proj_b]
@@ -767,8 +770,10 @@ def load_checkpoint(path) -> Model:
     """Read a checkpoint; any malformed, truncated or non-finite file
     raises ValueError naming `path`.
 
-    The file is read one parameter at a time, and each parameter's rows
-    are parsed by one `np.loadtxt` call."""
+    The rows of each parameter are read in blocks of `_CKPT_BLOCK_ROWS`,
+    each parsed by one `np.loadtxt` call and copied into the parameter's
+    values, so the reader holds the model plus one block of text. No
+    `grad` or `velocity` buffer is made."""
     with open(path) as fh:
         try:
             return _read_checkpoint(fh)
@@ -780,17 +785,26 @@ def load_checkpoint(path) -> Model:
             raise ValueError(f"{path}: {e}") from None
 
 
+# 64 rows of the 4006-class output block are ~6 MB of text
+_CKPT_BLOCK_ROWS = 64
+
+
 def _read_checkpoint(fh) -> Model:
     if fh.readline().rstrip("\n") != _CKPT_MAGIC:
         raise ValueError("not a recognized checkpoint file")
+    config_fields = {f.name: f for f in fields(RMNConfig)}
     kv = {}
     line = fh.readline()
     while line and not line.startswith("param "):
         key, _, val = line.rstrip("\n").partition(" ")
+        if key not in config_fields:
+            raise ValueError(f"unknown checkpoint header key {key!r}")
+        if key in kv:
+            raise ValueError(f"repeated checkpoint header key {key!r}")
         kv[key] = val
         line = fh.readline()
-    config = RMNConfig(**{f.name: parse_value(f, kv[f.name]) for f in fields(RMNConfig)})
-    params = init_params(config, seed=0)
+    config = RMNConfig(**{name: parse_value(f, kv[name]) for name, f in config_fields.items()})
+    params = ModelParams(config, rng=None)
     for p in params.parameters():
         header = line.split()
         if header[0] != "param" or header[1] != p.name:
@@ -799,15 +813,31 @@ def _read_checkpoint(fh) -> Model:
         shape = tuple(int(d) for d in header[3 : 3 + ndim])
         if shape != p.value.shape:
             raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
-        rows = np.atleast_2d(p.value).shape
-        lines = list(itertools.islice(fh, rows[0]))
-        if len(lines) < rows[0]:
-            raise IndexError
-        vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-        if vals.shape != rows:
-            raise ValueError(f"parameter {p.name!r} has rows of shape {vals.shape}, expected {rows}")
-        if not np.isfinite(vals).all():
-            raise ValueError(f"parameter {p.name!r} holds non-finite values")
-        p.value[...] = vals.reshape(p.value.shape)
+        rows = np.atleast_2d(p.value)
+        for lo in range(0, len(rows), _CKPT_BLOCK_ROWS):
+            block = rows[lo : lo + _CKPT_BLOCK_ROWS]
+            block[...] = _read_rows(fh, p.name, lo, block.shape)
         line = fh.readline()
     return Model(config=config, params=params)
+
+
+def _read_rows(fh, name: str, lo: int, shape: tuple[int, int]) -> np.ndarray:
+    """Parse the next `shape[0]` lines of `fh`, rows `lo`.. of parameter
+    `name`. The text is dropped on return, before the next block is read."""
+    lines = list(itertools.islice(fh, shape[0]))
+    # the writer ends every row with a newline; a file cut inside the last
+    # number would otherwise load a different value
+    if len(lines) < shape[0] or not lines[-1].endswith("\n"):
+        raise ValueError(f"parameter {name!r} is truncated")
+    try:
+        vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"parameter {name!r}: {e}") from None
+    if vals.shape != shape:
+        raise ValueError(
+            f"parameter {name!r}: rows {lo}..{lo + shape[0] - 1} parse to shape "
+            f"{vals.shape}, expected {shape}"
+        )
+    if not np.isfinite(vals).all():
+        raise ValueError(f"parameter {name!r} holds non-finite values")
+    return vals

@@ -9,6 +9,8 @@ contributions from many layers and time steps.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -42,18 +44,28 @@ class NumericError(ArithmeticError):
 class Parameter:
     """A trainable array bundled with its gradient and momentum buffers.
 
-    `value`, `grad` and `velocity` always share one shape. Gradients are
-    accumulated with `accumulate` and cleared with `zero_grad`.
+    `value`, `grad` and `velocity` always share one shape. A float64
+    `value` array is kept as given, not copied. The `grad` and `velocity`
+    buffers are made as zeros on first use, so a model that is only
+    evaluated holds its values alone; `trainer.fit` makes them up front.
+    Gradients are accumulated with `accumulate` and cleared with
+    `zero_grad`.
     """
 
     def __init__(self, value, name: str = ""):
-        self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-        self.velocity = np.zeros_like(self.value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.name = name
 
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.value)
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        return np.zeros_like(self.value)
+
     def accumulate(self, g) -> None:
-        if g.shape != self.grad.shape:
+        if g.shape != self.value.shape:
             raise DimensionError(
                 f"parameter {self.name or '<unnamed>'}: gradient shape {g.shape} "
                 f"does not match value shape {self.value.shape}"
@@ -61,7 +73,8 @@ class Parameter:
         self.grad += g
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if "grad" in vars(self):  # a buffer never made is zero already
+            self.grad[...] = 0.0
 
     @property
     def size(self) -> int:

@@ -273,6 +273,10 @@ def fit(
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")
+    # every buffer training needs, made now in declared order: made on first
+    # touch inside the first step, they would land among its temporaries
+    for p in model.params.parameters():
+        p.grad, p.velocity
 
     history: list[EpochStats] = []
     valid_ce_history: list[float] = []

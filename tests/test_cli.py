@@ -343,10 +343,18 @@ def test_eval_truncated_checkpoint_is_usage_error(tmp_path, capsys):
 
 
 def test_eval_checkpoint_missing_header_key_is_usage_error(tmp_path, capsys):
+    # an unknown or a repeated header key is refused the same way
     ckpt, valid = trained_checkpoint(tmp_path)
     text = ckpt.read_text()
-    ckpt.write_text(text.replace("splice_right 0\n", ""))
-    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions="splice_right")
+    input_dim = next(ln for ln in text.splitlines(keepends=True) if ln.startswith("input_dim "))
+    for damaged, mentions in [
+        (text.replace("splice_right 0\n", ""), "splice_right"),
+        (text.replace("splice_right 0\n", "splice_right 0\nbogus_key 7\n"),
+         "unknown checkpoint header key 'bogus_key'"),
+        (text.replace(input_dim, input_dim * 2), "repeated checkpoint header key 'input_dim'"),
+    ]:
+        ckpt.write_text(damaged)
+        assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=mentions)
 
 
 def test_eval_non_finite_features_is_usage_error(tmp_path, capsys):
@@ -435,6 +443,26 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(rows) == 3
     assert rows[1].startswith("1,")
     assert rows[2].startswith("2,")
+
+
+def test_sweep_runs_without_num_memory_layers(tmp_path):
+    # --layers sets the depth of every sweep run
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid, max_epochs="1")
+                   .replace("num_memory_layers = 2\n", ""))
+    assert run("sweep", str(cfg), "--layers", "1,2") == 0
+    rows = (tmp_path / "run" / "sweep.csv").read_text().strip().split("\n")
+    assert [r.split(",")[0] for r in rows] == ["layers", "1", "2"]
+
+
+def test_train_without_num_memory_layers_is_usage_error(tmp_path, capsys):
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid).replace("num_memory_layers = 2\n", ""))
+    assert_one_line_usage_error(capsys, "train", str(cfg),
+                                mentions="missing required key 'num_memory_layers'")
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_no_delay_variant(tmp_path):

@@ -4,6 +4,7 @@ gradient verification, structural invariants (causality, residual
 identity, zero-init equivalence), analysis tools and checkpoints."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -926,10 +927,16 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     assert str(path) in str(err.value)
 
 
+BLOCK = model_mod._CKPT_BLOCK_ROWS
+# input_w spans two and a half of the reader's row blocks
+MULTI_BLOCK = dict(input_dim=2 * BLOCK + BLOCK // 2)
+
+
 @settings(max_examples=60, deadline=None)
-@given(cut=st.floats(min_value=0.0, max_value=1.0), at_line_end=st.booleans())
-def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_line_end):
-    cfg = tiny_config(direction="bi", shared_weight_form="full", splice_left=1)
+@given(cut=st.floats(min_value=0.0, max_value=1.0), at_line_end=st.booleans(),
+       extra=st.sampled_from([{}, MULTI_BLOCK]))
+def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_line_end, extra):
+    cfg = tiny_config(direction="bi", shared_weight_form="full", splice_left=1, **extra)
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     save_checkpoint(Model(cfg, ready_params(cfg)), path)
     text = path.read_bytes()
@@ -943,6 +950,31 @@ def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_li
         assert isinstance(load_checkpoint(path), Model)
     except ValueError as e:
         assert str(path) in str(e)
+
+
+@pytest.mark.parametrize("damage", ["cut at a block end", "cut in the second block",
+                                    "short row in the third block", "nan in the second block"])
+def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
+    cfg = tiny_config(**MULTI_BLOCK)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    first = lines.index(next(ln for ln in lines if ln.startswith("param input_w"))) + 1
+    if damage == "cut at a block end":
+        lines = lines[: first + BLOCK]
+    elif damage == "cut in the second block":
+        lines = lines[: first + BLOCK + 5]
+    elif damage == "short row in the third block":
+        row = first + 2 * BLOCK + 3
+        lines[row] = lines[row].rsplit(" ", 1)[0] + "\n"
+    else:
+        row = first + BLOCK + 7
+        values = lines[row].split()
+        values[1] = "nan"
+        lines[row] = " ".join(values) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'input_w'")):
+        load_checkpoint(path)
 
 
 # --- model_input --------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Training loop: schedule arithmetic, minibatch slicing, the SGD update,
 evaluation bookkeeping and the end-to-end fit driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rmnlab.data import Corpus, Utterance, gen_delayed_recall
-from rmnlab.model import Model, RMNConfig, init_params, randomize_params
+from rmnlab import model as model_mod
+from rmnlab.model import (
+    Model,
+    RMNConfig,
+    init_params,
+    load_checkpoint,
+    randomize_params,
+    save_checkpoint,
+)
 from rmnlab.numerics import NumericError
 from rmnlab.trainer import (
     METRICS_HEADER,
@@ -413,6 +423,48 @@ def test_fit_is_deterministic_for_a_seed():
         stats = fit(model, train, valid, config)
         runs.append([(s.train_ce, s.valid_ce, s.train_fer, s.valid_fer) for s in stats])
     assert runs[0] == runs[1]
+
+
+def test_fit_gives_the_same_values_whether_or_not_buffers_existed_before():
+    train = random_corpus(6, t_frames=15, seed=1)
+    valid = random_corpus(2, t_frames=15, seed=2)
+    config = TrainConfig(max_epochs=1, base_lr=0.05, peak_lr=0.1, seed=3)
+    lazy, eager = small_model(), small_model()
+    for p in eager.params.parameters():
+        p.grad, p.velocity
+    assert not any({"grad", "velocity"} & vars(p).keys() for p in lazy.params.parameters())
+    assert fit(lazy, train, valid, config)[0].train_ce == fit(eager, train, valid, config)[0].train_ce
+    for a, b in zip(lazy.params.parameters(), eager.params.parameters()):
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.velocity, b.velocity)
+
+
+def test_evaluation_holds_only_the_parameter_values(tmp_path):
+    # every weight matrix spans several of the reader's row blocks; the
+    # bounds leave room for one block of text, not for grad and velocity
+    # (twice the values) nor for a whole parameter's text (about three times it)
+    block = model_mod._CKPT_BLOCK_ROWS
+    cfg = RMNConfig(input_dim=4 * block, num_memory_layers=4, num_classes=64,
+                    wide_dim=2 * block, memory_dim=2 * block, direction="bi")
+    params = init_params(cfg, 0)
+    randomize_params(params, 5)
+    save_checkpoint(Model(cfg, params), tmp_path / "model.ckpt")
+    value_bytes = sum(p.value.nbytes for p in params.parameters())
+    del params
+    tracemalloc.start()
+    try:
+        model = load_checkpoint(tmp_path / "model.ckpt")
+        live, peak = tracemalloc.get_traced_memory()
+        assert live < 1.1 * value_bytes
+        assert peak < 1.5 * value_bytes
+        corpus = random_corpus(2, t_frames=12, dim=model.config.input_dim, num_classes=64)
+        evaluate(model, corpus)
+        evaluate_streaming(model, corpus, chunk_size=4, lookahead=3)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 1.1 * value_bytes
+    assert not any({"grad", "velocity"} & vars(p).keys() for p in model.params.parameters())
 
 
 def test_fit_early_stop_callback():
