@@ -242,11 +242,11 @@ def cmd_params(args) -> int:
         shared_weight_form=args.shared_form,
     )
     n = param_count(config)
+    # both counts first, so that bad LSTMP dimensions print nothing
+    m = None if args.compare_lstmp is None else param_count_lstmp(*args.compare_lstmp)
     print(f"params {n}")
     print(f"params_millions {n / 1e6:.1f}")
-    if args.compare_lstmp is not None:
-        layers, cells, proj, input_dim, classes = args.compare_lstmp
-        m = param_count_lstmp(layers, cells, proj, input_dim, classes)
+    if m is not None:
         print(f"lstmp_params {m}")
         print(f"reduction_percent {100.0 * (m - n) / m:.1f}")
     return 0
@@ -259,6 +259,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad layer list {args.layers!r}") from None
     if not layer_list:
         raise ConfigError("layer list is empty")
+    repeated = sorted({n for n in layer_list if layer_list.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"layer list {args.layers!r} repeats {', '.join(map(str, repeated))}")
     settings, train_corpus, valid_corpus, train_config, model_configs = _load_experiment(
         args, layer_list)
     os.makedirs(settings["out_dir"], exist_ok=True)

@@ -237,11 +237,9 @@ def splice(features, left: int, right: int) -> np.ndarray:
         raise ValueError("splice widths must be >= 0")
     x = np.asarray(features, dtype=np.float64)
     t_frames = x.shape[0]
-    pieces = []
-    for off in range(-left, right + 1):
-        idx = np.clip(np.arange(t_frames) + off, 0, t_frames - 1)
-        pieces.append(x[idx])
-    return np.hstack(pieces)
+    # one gather: idx[t] lists the source rows of row t's window
+    idx = np.clip(np.arange(t_frames)[:, None] + np.arange(-left, right + 1), 0, t_frames - 1)
+    return x[idx].reshape(t_frames, (left + 1 + right) * x.shape[1])
 
 
 def mean_var_normalize(corpus: Corpus, eps: float = 1e-12) -> Corpus:

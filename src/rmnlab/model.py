@@ -29,9 +29,11 @@ from .numerics import (
     affine_backward,
     diag_scale,
     diag_scale_backward,
+    grad_check,
     relu,
     relu_backward,
     softmax_xent,
+    xent_loss,
 )
 
 __all__ = [
@@ -286,6 +288,18 @@ def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _stacked_rows(x: np.ndarray, k: int, starts: list[int]) -> np.ndarray:
+    """Row t of x's delayed tap: x[t - k] when row t - k belongs to the
+    same utterance as row t, else a zero row. x stacks utterances whose
+    second and later ones begin at the rows in `starts`; k != 0."""
+    out = _rows(x, -k, x.shape[0] - k)
+    for s in starts:
+        # the rows whose source lies across the edge at s: the k rows from s
+        # for a past tap, the -k rows before s for a future one
+        out[max(0, min(s, s + k)) : max(s, s + k)] = 0.0
+    return out
+
+
 def _wiring(
     params: ModelParams, config: RMNConfig
 ) -> list[tuple[list[tuple[Parameter, int]], int | None]]:
@@ -419,8 +433,10 @@ def forward(
     rows: tuple[int, int] | None = None,
     *,
     carry: Carry | None = None,
-) -> tuple[ForwardCache, np.ndarray]:
-    """Run the pipeline on one utterance, returning (cache, logits).
+    lengths=None,
+) -> tuple[ForwardCache, np.ndarray] | np.ndarray:
+    """Run the pipeline on one utterance, returning (cache, logits), or on
+    stacked utterances in scoring mode (`lengths`), returning the logits.
 
     Pipeline: wide input block, projection into the memory width, L memory
     layers with delayed shared-weight taps and periodic identity shortcuts,
@@ -440,7 +456,17 @@ def forward(
     `Carry` and `streaming_forward`): each stage then computes only the rows
     of its span that no earlier window finished, and the logits are
     unchanged.
+
+    `lengths` switches to scoring: x stacks whole utterances of these frame
+    counts, one after another, and every delayed tap reads only its own
+    utterance's rows (zero outside them), so each utterance's logit rows
+    are those of a pass over it alone. Scoring returns the logits alone
+    and builds no cache; a stage array is dropped once no later stage or
+    shortcut reads it. It takes neither `rows` nor `carry`.
     """
+    scoring = lengths is not None
+    if scoring and (rows is not None or carry is not None):
+        raise ValueError("stacked utterance lengths cannot be combined with rows or carry")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"input must be a (frames, features) matrix, got shape {x.shape}")
@@ -451,6 +477,13 @@ def forward(
             f"input has {x.shape[1]} features, model expects {config.input_dim}"
         )
     t_frames = x.shape[0]
+    if scoring:
+        lengths = [int(n) for n in lengths]
+        if 0 in lengths:
+            raise InputError("empty sequence: utterance has 0 frames")
+        if sum(lengths) != t_frames or min(lengths) < 0:
+            raise ValueError(f"utterance lengths {lengths} do not stack to {t_frames} frames")
+        starts = list(itertools.accumulate(lengths[:-1]))
     lo, hi = (0, t_frames) if rows is None else rows
     if not 0 <= lo < hi <= t_frames:
         raise ValueError(f"rows {(lo, hi)} outside sequence of {t_frames} frames")
@@ -463,14 +496,18 @@ def forward(
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
     input_post = relu(affine(x[first[0] : spans[0][1]], params.input_w.value, params.input_b.value))
-    proj_post = relu(affine(input_post, params.proj_w.value, params.proj_b.value))
-    input_post = keep("input_post", 0, input_post)
-    proj_post = keep("proj_post", 0, proj_post)
+    outs = [keep("proj_post", 0, relu(affine(input_post, params.proj_w.value, params.proj_b.value)))]
+    input_post = None if scoring else keep("input_post", 0, input_post)
 
+    wiring = _wiring(params, config)
+    # outs[j] feeds layer j, and the layer whose shortcut source is j
+    last_reader = list(range(len(wiring)))
+    for l, (_, src) in enumerate(wiring):
+        if src is not None:
+            last_reader[src] = l
     layer_pre: list[np.ndarray] = []
     layer_sum: list[np.ndarray] = []
-    outs = [proj_post]
-    for l, (taps, src) in enumerate(_wiring(params, config)):
+    for l, (taps, src) in enumerate(wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
@@ -478,23 +515,34 @@ def forward(
                                         params.layer_b[l].value))
         z = pre[f - a : d - a]
         for shared, k in taps:
-            z = z + _apply_shared(_rows(pre, f - a - k, d - a - k), shared, config.shared_weight_form)
+            tap = _stacked_rows(pre, k, starts) if scoring else _rows(pre, f - a - k, d - a - k)
+            z = z + _apply_shared(tap, shared, config.shared_weight_form)
         out = relu(z)
         if src is not None:
             c = spans[src][0]
             out = out + outs[src][f - c : d - c]
-        layer_pre.append(pre)
-        layer_sum.append(keep(f"sum{l}", l + 1, z))
+        if scoring:  # drop what no later stage or shortcut reads
+            pre = z = None
+            for j in (l, src):
+                if j is not None and last_reader[j] == l:
+                    outs[j] = None
+        else:
+            layer_pre.append(pre)
+            layer_sum.append(keep(f"sum{l}", l + 1, z))
         outs.append(keep(f"out{l}", l + 1, out))
 
     out1_post = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
+    if scoring:
+        outs = out = None
     logits = affine(out1_post, params.out2_w.value, params.out2_b.value)
+    if scoring:
+        return logits
 
     cache = ForwardCache(
         x=x,
         spans=spans,
         input_post=input_post,
-        proj_post=proj_post,
+        proj_post=outs[0],
         layer_pre=layer_pre,
         layer_sum=layer_sum,
         layer_out=outs[1:],
@@ -606,8 +654,6 @@ def check_gradients(
     `corrupt` deliberately damages one gradient entry first (negative
     control for the verification tooling itself).
     """
-    from .numerics import grad_check, softmax_xent as _xent
-
     params.zero_grads()
     cache, _ = forward(params, config, x)
     backward(params, config, cache, labels)
@@ -615,9 +661,7 @@ def check_gradients(
         params.shared_past.grad.reshape(-1)[0] += 0.5
 
     def loss_only():
-        _, logits = forward(params, config, x)
-        loss, _ = _xent(logits, labels)
-        return loss
+        return xent_loss(forward(params, config, x, lengths=[len(x)]), labels)
 
     return grad_check(loss_only, params.parameters(), epsilon)
 

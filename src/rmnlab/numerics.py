@@ -25,6 +25,7 @@ __all__ = [
     "diag_scale",
     "diag_scale_backward",
     "softmax_xent",
+    "xent_loss",
     "grad_check",
 ]
 
@@ -164,13 +165,9 @@ def diag_scale_backward(x, d_vec, grad_out):
     return g * d, (x * g).sum(axis=0)
 
 
-def softmax_xent(logits, labels):
-    """Mean per-frame cross-entropy and its gradient w.r.t. the logits.
-
-    loss = (1/T) * sum_t -log softmax(logits[t])[labels[t]], computed with
-    max-subtraction so huge logits cannot overflow. The returned gradient
-    is (softmax - onehot) / T.
-    """
+def _xent(logits, labels):
+    """The loss half of `softmax_xent`: (loss, shifted logits, log
+    normalisers, row indices, labels)."""
     z = _as2d(logits, "logits")
     y = np.asarray(labels)
     t_frames, k = z.shape
@@ -183,11 +180,28 @@ def softmax_xent(logits, labels):
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(t_frames)
     loss = float(np.mean(log_norm - shifted[rows, y]))
+    return loss, shifted, log_norm, rows, y
+
+
+def softmax_xent(logits, labels):
+    """Mean per-frame cross-entropy and its gradient w.r.t. the logits.
+
+    loss = (1/T) * sum_t -log softmax(logits[t])[labels[t]], computed with
+    max-subtraction so huge logits cannot overflow. The returned gradient
+    is (softmax - onehot) / T.
+    """
+    loss, shifted, log_norm, rows, y = _xent(logits, labels)
     probs = np.exp(shifted - log_norm[:, None])
     grad = probs.copy()
     grad[rows, y] -= 1.0
-    grad /= t_frames
+    grad /= rows.shape[0]
     return loss, grad
+
+
+def xent_loss(logits, labels) -> float:
+    """The loss of `softmax_xent` alone, the same float, without making the
+    gradient."""
+    return _xent(logits, labels)[0]
 
 
 def grad_check(f, params, epsilon: float = 1e-5) -> float:

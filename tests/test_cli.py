@@ -106,6 +106,17 @@ def test_params_lstmp_comparison(capsys):
     assert "reduction_percent 27.7" in out
 
 
+@pytest.mark.parametrize("lstmp", [["0", "1", "1", "1", "1"], ["3", "1024", "512", "40", "-1"]])
+def test_params_bad_lstmp_dimensions_print_nothing(capsys, lstmp):
+    # the RMN count used to be printed before the LSTMP dimensions were read
+    assert run("params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
+               "--compare-lstmp", *lstmp) == 2
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err.count("\n") == 1
+    assert said.err.startswith("error: ") and "LSTMP dimensions must be >= 1" in said.err
+
+
 # --- gradcheck --------------------------------------------------------------------
 
 
@@ -478,6 +489,8 @@ def test_sweep_no_delay_variant(tmp_path):
     ("0", [], False, "num_memory_layers must be >= 1"),
     ("2,3", ["--l2", "nan"], False, "l2 must be finite"),
     ("2", [], True, "no labels"),
+    ("2,2", [], False, "repeats 2"),
+    ("1,3,1,2,3", [], False, "repeats 1, 3"),
 ])
 def test_sweep_usage_error_writes_nothing(tmp_path, capsys, layers, extra, unlabeled, mentions):
     train, valid = write_corpora(tmp_path)

@@ -215,6 +215,20 @@ def test_splice_zero_widths_is_identity():
     assert np.array_equal(splice(feats, 0, 0), feats)
 
 
+@pytest.mark.parametrize("t_frames", [0, 1, 2, 3, 7, 100, 300])
+@pytest.mark.parametrize("left, right", [(0, 0), (5, 0), (0, 5), (5, 5), (3, 9)])
+def test_splice_writes_the_bytes_of_one_copy_per_offset(t_frames, left, right):
+    # the reference: one clipped row gather per window offset, side by side
+    feats = RNG.normal(size=(t_frames, 4))
+    rows = np.arange(t_frames)
+    ref = np.hstack([feats[np.clip(rows + off, 0, t_frames - 1)]
+                     for off in range(-left, right + 1)])
+    out = splice(feats, left, right)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
 # --- normalization -----------------------------------------------------------
 
 

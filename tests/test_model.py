@@ -477,6 +477,18 @@ def test_forward_input_errors():
         forward(params, cfg, np.zeros((4, cfg.input_dim + 1)))
     with pytest.raises(InputError):
         forward(params, cfg, np.zeros(5))
+    # stacked utterance lengths: none empty, summing to the rows of x, and
+    # only for scoring whole utterances
+    x = np.zeros((6, cfg.input_dim))
+    with pytest.raises(InputError):
+        forward(params, cfg, x, lengths=[3, 0, 3])
+    for lengths in ([2, 3], [], [7, -1]):
+        with pytest.raises(ValueError, match="do not stack"):
+            forward(params, cfg, x, lengths=lengths)
+    with pytest.raises(ValueError, match="rows or carry"):
+        forward(params, cfg, x, rows=(0, 3), lengths=[6])
+    with pytest.raises(ValueError, match="rows or carry"):
+        forward(params, cfg, x, carry=Carry(6), lengths=[6])
 
 
 def test_backward_consistency_errors():
@@ -779,7 +791,9 @@ def fuzz_cases(draw):
     g_hi = draw(st.integers(g_lo + 1, hi))
     chunk = draw(st.integers(1, t_frames + 1))
     lookahead = draw(st.integers(0, span + 2))
-    return cfg, raw_dim, t_frames, (lo, hi), (g_lo, g_hi), chunk, lookahead, draw(st.integers(0, 999))
+    other = draw(st.integers(1, span + 3))
+    return (cfg, raw_dim, t_frames, (lo, hi), (g_lo, g_hi), chunk, lookahead, other,
+            draw(st.integers(0, 999)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -787,8 +801,9 @@ def fuzz_cases(draw):
 def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     # trimmed forward and windowed backward against the frame loop over the
     # whole utterance; every streamed chunk against forward over the prefix
-    # that ends at its lookahead edge
-    cfg, raw_dim, t_frames, (lo, hi), window, chunk, lookahead, seed = case
+    # that ends at its lookahead edge; scoring of the utterance stacked
+    # around another one against both alone
+    cfg, raw_dim, t_frames, (lo, hi), window, chunk, lookahead, other, seed = case
     params = ready_params(cfg, seed)
     rng = np.random.default_rng(seed)
     x = model_input(cfg, rng.uniform(-2, 2, (t_frames, raw_dim)))
@@ -809,6 +824,14 @@ def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
         end = min(start + chunk, t_frames)
         _, full = forward(params, cfg, x[: min(t_frames, end + lookahead)])
         assert rel_max(out[start:end], full[start:end]) < 1e-12, start
+
+    assert np.array_equal(forward(params, cfg, x, lengths=[t_frames]), forward(params, cfg, x)[1])
+    y = model_input(cfg, rng.uniform(-2, 2, (other, raw_dim)))
+    _, y_alone = forward(params, cfg, y)
+    stacked = forward(params, cfg, np.concatenate([y, x, y]), lengths=[other, t_frames, other])
+    assert rel_max(stacked[other : other + t_frames], ref_logits) < 1e-12
+    assert rel_max(stacked[:other], y_alone) < 1e-12
+    assert rel_max(stacked[other + t_frames :], y_alone) < 1e-12
 
 
 class CarryMachine(RuleBasedStateMachine):

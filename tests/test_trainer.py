@@ -16,7 +16,7 @@ from rmnlab.model import (
     randomize_params,
     save_checkpoint,
 )
-from rmnlab.numerics import NumericError
+from rmnlab.numerics import DimensionError, LabelError, NumericError
 from rmnlab.trainer import (
     METRICS_HEADER,
     BatchPiece,
@@ -368,27 +368,81 @@ def test_chunked_forward_matches_full(direction):
 # --- evaluation -------------------------------------------------------------------
 
 
-def test_evaluate_is_frame_weighted():
-    model = small_model()
-    rng = np.random.default_rng(3)
-    utts = [
-        Utterance("a", rng.normal(size=(30, 4)), rng.integers(0, 3, 30)),
-        Utterance("b", rng.normal(size=(5, 4)), rng.integers(0, 3, 5)),
-    ]
-    corpus = Corpus(utts, feature_dim=4, num_classes=3)
-    ce, fer = evaluate(model, corpus)
+SCORED_VARIANTS = [
+    {},
+    dict(direction="bi"),
+    dict(shared_weight_form="full"),
+    dict(direction="bi", shared_weight_form="full", residual_interval=1),
+    dict(residual_interval=3, num_memory_layers=4),
+    dict(residual_interval=None, direction="bi"),
+    dict(delay_enabled=False),
+    dict(splice_left=2, splice_right=1, input_dim=16),
+]
 
+
+def test_evaluate_is_frame_weighted():
+    # utterances of unequal lengths, 1-frame ones among them, are scored in
+    # groups; one utterance longer than a group's rows is a group of its own
     from rmnlab.numerics import softmax_xent
 
-    ce_sum = 0.0
-    errors = 0
-    for u in utts:
-        _, logits = forward(model.params, model.config, u.features)
-        loss, _ = softmax_xent(logits, u.labels)
-        ce_sum += loss * u.num_frames
-        errors += int((np.argmax(logits, axis=1) != u.labels).sum())
-    assert ce == pytest.approx(ce_sum / 35, rel=1e-12)
-    assert fer == pytest.approx(errors / 35, rel=1e-12)
+    rng = np.random.default_rng(3)
+    lengths = [30, 5, 1, 12, 1, trainer_mod._GROUP_ROWS + 3, 1, 40, 7]
+    utts = [Utterance(f"u{n}", rng.normal(size=(t, 4)), rng.integers(0, 3, t))
+            for n, t in enumerate(lengths)]
+    corpus = Corpus(utts, feature_dim=4, num_classes=3)
+    for variant in SCORED_VARIANTS:
+        model = small_model(**variant)
+        ce, fer = evaluate(model, corpus)
+        ce_sum = 0.0
+        errors = 0
+        for u in utts:
+            _, logits = forward(model.params, model.config, model_input(model.config, u.features))
+            loss, _ = softmax_xent(logits, u.labels)
+            ce_sum += loss * u.num_frames
+            errors += int((np.argmax(logits, axis=1) != u.labels).sum())
+        assert ce == pytest.approx(ce_sum / sum(lengths), rel=1e-12), variant
+        assert fer == pytest.approx(errors / sum(lengths), rel=1e-12), variant
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("fault, error", [
+    ("no frames", model_mod.InputError),
+    ("no labels", DimensionError),
+    ("label out of range", LabelError),
+])
+def test_evaluate_rejects_a_bad_utterance_anywhere_in_a_group(position, fault, error):
+    # the five utterances form one group; the bad one is first, in the
+    # middle or last, and raises what scoring it alone raises
+    model = small_model()
+    corpus = random_corpus(5, t_frames=6, seed=8)
+    bad = corpus.utterances[position]
+    if fault == "no frames":
+        bad.features, bad.labels = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+    elif fault == "no labels":
+        bad.labels = None
+    else:
+        bad.labels[3] = 3
+    with pytest.raises(error):
+        evaluate(model, corpus)
+
+
+def test_evaluate_keeps_no_forward_cache():
+    # a deep, narrow model: the cache of one utterance is several times the
+    # arrays that scoring it needs at once. Every utterance is a group of its own.
+    cfg = RMNConfig(input_dim=8, num_memory_layers=16, num_classes=4, wide_dim=32, memory_dim=32,
+                    residual_interval=3)
+    model = Model(cfg, init_params(cfg, 0))
+    t_frames = 600
+    corpus = random_corpus(2, t_frames=t_frames, dim=8, num_classes=4, seed=5)
+    rows = cfg.input_dim + 2 * cfg.wide_dim + cfg.memory_dim * (1 + 3 * cfg.num_memory_layers)
+    cache_bytes = 8 * t_frames * (rows + cfg.num_classes)
+    tracemalloc.start()
+    try:
+        evaluate(model, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cache_bytes / 3
 
 
 def test_evaluate_streaming_matches_evaluate_with_enough_lookahead():
