@@ -376,6 +376,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as e:  # every typed input error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ truncation inside an utterance).
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -371,8 +372,11 @@ class Carry:
     next, for `forward(..., carry=...)`.
 
     Each window is a prefix of the utterance, so a window row is an
-    utterance row. Every stage array lives in a buffer as long as the
-    utterance. A row of a stage is *final* when a later window, which
+    utterance row. Each stage a later window reads lives in a buffer as
+    long as the utterance: the projection output (`proj_post`), and each
+    memory layer's pre-activation (`pre<l>`, the source of its taps) and
+    output (`out<l>`, read by the next layer and the shortcuts), 1 + 2L
+    buffers in all. A row of a stage is *final* when a later window, which
     reaches at least as far right, cannot change it: the row plus the
     stage's future reach lies inside the window, or the window ends where
     the utterance ends. The future reach of span entry g (see
@@ -382,8 +386,6 @@ class Carry:
 
     Neither the first requested row nor the window's end may lie before the
     previous call's: the buffers hold only the rows earlier calls reached.
-    A cache built with a carry holds views of its buffers, valid until the
-    next call.
     """
 
     def __init__(self, t_frames: int):
@@ -435,8 +437,9 @@ def forward(
     carry: Carry | None = None,
     lengths=None,
 ) -> tuple[ForwardCache, np.ndarray] | np.ndarray:
-    """Run the pipeline on one utterance, returning (cache, logits), or on
-    stacked utterances in scoring mode (`lengths`), returning the logits.
+    """Run the pipeline on one utterance, returning (cache, logits) for
+    `backward`; with `carry` or `lengths`, an inference mode, the logits
+    alone.
 
     Pipeline: wide input block, projection into the memory width, L memory
     layers with delayed shared-weight taps and periodic identity shortcuts,
@@ -460,13 +463,16 @@ def forward(
     `lengths` switches to scoring: x stacks whole utterances of these frame
     counts, one after another, and every delayed tap reads only its own
     utterance's rows (zero outside them), so each utterance's logit rows
-    are those of a pass over it alone. Scoring returns the logits alone
-    and builds no cache; a stage array is dropped once no later stage or
-    shortcut reads it. It takes neither `rows` nor `carry`.
+    are those of a pass over it alone. It takes neither `rows` nor `carry`.
+
+    Only the training call, with neither `carry` nor `lengths`, builds a
+    cache. The inference modes keep no stage array for a backward pass: one
+    is dropped once no later stage or shortcut reads it.
     """
     scoring = lengths is not None
     if scoring and (rows is not None or carry is not None):
         raise ValueError("stacked utterance lengths cannot be combined with rows or carry")
+    training = not scoring and carry is None
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"input must be a (frames, features) matrix, got shape {x.shape}")
@@ -497,7 +503,7 @@ def forward(
         first, keep = carry.start(config, spans, t_frames), carry.keep
     input_post = relu(affine(x[first[0] : spans[0][1]], params.input_w.value, params.input_b.value))
     outs = [keep("proj_post", 0, relu(affine(input_post, params.proj_w.value, params.proj_b.value)))]
-    input_post = None if scoring else keep("input_post", 0, input_post)
+    input_post = input_post if training else None  # only backward reads it
 
     wiring = _wiring(params, config)
     # outs[j] feeds layer j, and the layer whose shortcut source is j
@@ -505,8 +511,7 @@ def forward(
     for l, (_, src) in enumerate(wiring):
         if src is not None:
             last_reader[src] = l
-    layer_pre: list[np.ndarray] = []
-    layer_sum: list[np.ndarray] = []
+    layer_pre, layer_sum = [], []
     for l, (taps, src) in enumerate(wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
@@ -521,24 +526,24 @@ def forward(
         if src is not None:
             c = spans[src][0]
             out = out + outs[src][f - c : d - c]
-        if scoring:  # drop what no later stage or shortcut reads
+        if training:
+            layer_pre.append(pre)
+            layer_sum.append(z)
+        else:  # drop what no later stage or shortcut reads
             pre = z = None
             for j in (l, src):
                 if j is not None and last_reader[j] == l:
                     outs[j] = None
-        else:
-            layer_pre.append(pre)
-            layer_sum.append(keep(f"sum{l}", l + 1, z))
         outs.append(keep(f"out{l}", l + 1, out))
 
     out1_post = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
-    if scoring:
+    if not training:
         outs = out = None
     logits = affine(out1_post, params.out2_w.value, params.out2_b.value)
-    if scoring:
+    if not training:
         return logits
 
-    cache = ForwardCache(
+    return ForwardCache(
         x=x,
         spans=spans,
         input_post=input_post,
@@ -549,8 +554,7 @@ def forward(
         out1_post=out1_post,
         logits=logits,
         params_ref=params,
-    )
-    return cache, logits
+    ), logits
 
 
 def backward(
@@ -690,12 +694,10 @@ def param_count_lstmp(layers: int, cells: int, proj: int, input_dim: int, num_cl
     """
     if min(layers, cells, proj, input_dim, num_classes) < 1:
         raise ValueError("all LSTMP dimensions must be >= 1")
-    total = 0
-    for layer in range(layers):
-        layer_input = input_dim if layer == 0 else proj
-        total += 4 * cells * (layer_input + proj) + 4 * cells + proj * cells
-    total += proj * num_classes + num_classes
-    return total
+    # closed form, so that a huge layer count answers at once: every layer
+    # reads [proj, proj] but the first, which reads [input_dim, proj]
+    per_layer = 4 * cells * (proj + proj) + 4 * cells + proj * cells
+    return layers * per_layer + 4 * cells * (input_dim - proj) + proj * num_classes + num_classes
 
 
 def delay_span(config: RMNConfig) -> int:
@@ -740,10 +742,10 @@ def probe_receptive_field(
     raw = rng.uniform(-1.0, 1.0, size=(t_frames, raw_dim))
     probe_at = future_bound + (t_frames - past_bound - future_bound - 1) // 2
 
-    _, base = forward(params, config, model_input(config, raw))
+    base = forward(params, config, model_input(config, raw), lengths=[t_frames])
     bumped = raw.copy()
     bumped[probe_at] += 1.0
-    _, moved = forward(params, config, model_input(config, bumped))
+    moved = forward(params, config, model_input(config, bumped), lengths=[t_frames])
 
     changed = np.nonzero(np.abs(moved - base).max(axis=1) > 1e-9)[0]
     if changed.size == 0:
@@ -761,7 +763,8 @@ def streaming_forward(
     The utterance is processed in consecutive chunks; the context window of
     a chunk is the prefix of the utterance that ends `lookahead` frames
     after it, and each chunk's logits equal those of `forward` over that
-    prefix alone. The chunks share one `Carry`:
+    prefix alone. Each chunk is one `forward` call in its cache-free
+    inference mode, and the chunks share one `Carry`:
     a stage row computed for one window is reused by the next whenever it
     does not depend on the window's right edge. A chunk therefore costs its
     own new rows plus the rows still waiting on lookahead, which later
@@ -781,8 +784,7 @@ def streaming_forward(
     carry = Carry(t_frames)
     for start in range(0, t_frames, chunk_size):
         end = min(start + chunk_size, t_frames)
-        _, logits = forward(params, config, x[: end + lookahead], rows=(start, end), carry=carry)
-        out[start:end] = logits
+        out[start:end] = forward(params, config, x[: end + lookahead], rows=(start, end), carry=carry)
     return out
 
 
@@ -817,7 +819,8 @@ def load_checkpoint(path) -> Model:
     The rows of each parameter are read in blocks of `_CKPT_BLOCK_ROWS`,
     each parsed by one `np.loadtxt` call and copied into the parameter's
     values, so the reader holds the model plus one block of text. No
-    `grad` or `velocity` buffer is made."""
+    `grad` or `velocity` buffer is made. A header that declares more values
+    than the file can hold is refused before anything is allocated."""
     with open(path) as fh:
         try:
             return _read_checkpoint(fh)
@@ -848,6 +851,9 @@ def _read_checkpoint(fh) -> Model:
         kv[key] = val
         line = fh.readline()
     config = RMNConfig(**{name: parse_value(f, kv[name]) for name, f in config_fields.items()})
+    # refused before allocating: every value takes a digit and a separator
+    if 2 * param_count(config) > os.fstat(fh.fileno()).st_size:
+        raise ValueError(f"header declares {param_count(config)} values, more than the file holds")
     params = ModelParams(config, rng=None)
     for p in params.parameters():
         header = line.split()

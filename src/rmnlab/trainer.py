@@ -53,23 +53,19 @@ class TrainConfig:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.l2 < 0.0:
-            raise ValueError("l2 must be >= 0")
         if not 0.0 < self.halve_factor < 1.0:
             raise ValueError("halve_factor must lie in (0, 1)")
-        # 0 is allowed so smoke runs can prove params stay untouched
-        if self.base_lr < 0.0:
-            raise ValueError("base_lr must be >= 0")
-        if self.peak_lr < 0.0:
-            raise ValueError("peak_lr must be >= 0")
+        # a rate of 0 is allowed so smoke runs can prove params stay untouched
+        for name, least in (("l2", 0), ("base_lr", 0), ("peak_lr", 0), ("max_utts_per_batch", 1),
+                            ("max_epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.schedule == "ramp_then_halve" and self.ramp_epochs < 1:
             raise ValueError("ramp_then_halve needs ramp_epochs >= 1")
         if self.schedule == "ramp_then_halve" and self.peak_lr < self.base_lr:
             raise ValueError(
                 f"ramp_then_halve needs peak_lr >= base_lr, got {self.peak_lr} < {self.base_lr}"
             )
-        if self.max_utts_per_batch < 1:
-            raise ValueError("max_utts_per_batch must be >= 1")
         if self.truncation_chunk is not None and self.truncation_chunk < 1:
             raise ValueError("truncation_chunk must be >= 1 or None")
 

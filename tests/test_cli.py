@@ -1,14 +1,22 @@
 """Command-line behavior: argument handling, exit codes, file outputs and
 the experiment-config loader. Commands run in-process through main()."""
 
+import contextlib
+import functools
+import io
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmnlab import cli
 from rmnlab.cli import EXPERIMENT_KEYS, ConfigError, load_experiment_config, main
-from rmnlab.data import Utterance, read_archive, write_archive
-from rmnlab.model import init_params, load_checkpoint
+from rmnlab.data import Utterance, gen_delayed_recall, read_archive, write_archive
+from rmnlab.model import Model, RMNConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -115,6 +123,13 @@ def test_params_bad_lstmp_dimensions_print_nothing(capsys, lstmp):
     assert said.out == ""
     assert said.err.count("\n") == 1
     assert said.err.startswith("error: ") and "LSTMP dimensions must be >= 1" in said.err
+
+
+def test_params_huge_lstmp_layer_count_is_counted_in_closed_form(capsys):
+    # a loop over the layers would take hours here
+    assert run("params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
+               "--compare-lstmp", "100000000000", "1", "1", "1", "1") == 0
+    assert "lstmp_params 1300000000002\n" in capsys.readouterr().out
 
 
 # --- gradcheck --------------------------------------------------------------------
@@ -348,9 +363,17 @@ def assert_one_line_usage_error(capsys, *argv, mentions):
 
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, capsys):
     ckpt, valid = trained_checkpoint(tmp_path)
-    lines = ckpt.read_text().splitlines(keepends=True)
-    ckpt.write_text("".join(lines[:-3]))
+    text = ckpt.read_text()
+    ckpt.write_text("".join(text.splitlines(keepends=True)[:-3]))
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=str(ckpt))
+    # a header declaring more values than the file can hold is refused
+    # before the parameters are allocated
+    for old, new in (("wide_dim 8\n", "wide_dim 100000000000\n"),
+                     ("num_memory_layers 2\n", "num_memory_layers 300000000\n")):
+        assert old in text
+        ckpt.write_text(text.replace(old, new))
+        assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid),
+                                    mentions=f"{ckpt}: header declares")
 
 
 def test_eval_checkpoint_missing_header_key_is_usage_error(tmp_path, capsys):
@@ -441,6 +464,25 @@ def test_train_rejects_non_finite_rate_before_writing(tmp_path, capsys, key, val
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # the failure is raised, not provoked: an allocation this large is refused
+    # by some hosts and granted by others
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid))
+
+    def no_memory(config, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "init_params", no_memory)
+    capsys.readouterr()
+    assert run("train", str(cfg)) == 1
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err == f"error: {message or 'out of memory'}\n"
+
+
 # --- sweep ------------------------------------------------------------------------------
 
 
@@ -491,6 +533,7 @@ def test_sweep_no_delay_variant(tmp_path):
     ("2", [], True, "no labels"),
     ("2,2", [], False, "repeats 2"),
     ("1,3,1,2,3", [], False, "repeats 1, 3"),
+    ("2", ["--max_epochs", "0"], False, "max_epochs must be >= 1"),
 ])
 def test_sweep_usage_error_writes_nothing(tmp_path, capsys, layers, extra, unlabeled, mentions):
     train, valid = write_corpora(tmp_path)
@@ -522,3 +565,229 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_no_arguments_is_usage_error():
     assert run() == 2
+
+
+# --- end-to-end property ----------------------------------------------------------------
+#
+# Each example runs `main` in a fresh working directory holding a tiny
+# training and validation archive, a checkpoint of a model that fits them,
+# an experiment config and an empty directory `sub`. Each file may be cut,
+# have a byte replaced or a token inserted, have a header or value edited,
+# be replaced by a directory or be missing. Every path is relative and no
+# mutation writes a slash, so whatever a run writes stays in that directory.
+
+E2E_CONFIG = b"""train_archive = train.arc
+valid_archive = valid.arc
+out_dir = run
+num_memory_layers = 2
+wide_dim = 4
+memory_dim = 3
+max_epochs = 2
+truncation_chunk = 4
+seed = 0
+"""
+
+# edits that keep a file's layout; the first two checkpoint edits declare
+# far more values than the file holds
+E2E_EDITS = {
+    "model.ckpt": [(b"wide_dim 4\n", b"wide_dim 100000000000\n"),
+                   (b"num_memory_layers 2\n", b"num_memory_layers 300000000\n"),
+                   (b"direction uni", b"direction bi"), (b"num_classes 4", b"num_classes 3"),
+                   (b"param layer1_w", b"param layer2_w"), (b"input_dim 3", b"input_dim 1")],
+    "exp.cfg": [(b"max_epochs = 2", b"max_epochs = 0"), (b"seed = 0", b"seed = -1"),
+                (b"wide_dim = 4", b"wide_dim = nan"), (b"out_dir = run", b"out_dir = sub"),
+                (b"valid.arc", b"train.arc"), (b"truncation_chunk = 4", b"truncation_chunk = 0")],
+    "train.arc": [(b"[ 4", b"[ 0"), (b"labels utt00001 ", b"labels utt00000 "), (b" 1 ", b" 9 ")],
+    "valid.arc": [(b"[ 4", b"[ 9"), (b" 0 ", b" inf "), (b"utt00001", b"utt00000")],
+}
+E2E_INSERTS = [b"0", b"-", b"nan", b"inf", b"junk", b"\n", b" ", b"=", b"#", b"[", b"]", b"\xff"]
+E2E_BYTES = b"019- x\n=#\xff"
+
+
+@functools.cache
+def e2e_base_files() -> dict[str, bytes]:
+    """The pristine files; their model is input 3, 4 classes, 2 layers."""
+    corpora = {"train.arc": gen_delayed_recall(3, 1, 10, 4, seed=1),
+               "valid.arc": gen_delayed_recall(3, 1, 8, 2, seed=2)}
+    config = RMNConfig(input_dim=3, num_memory_layers=2, num_classes=4, wide_dim=4, memory_dim=3)
+    with tempfile.TemporaryDirectory() as d:
+        files = {"exp.cfg": E2E_CONFIG}
+        for name, corpus in corpora.items():
+            write_archive(corpus, os.path.join(d, name))
+        save_checkpoint(Model(config, init_params(config, 0)), os.path.join(d, "model.ckpt"))
+        for name in ("train.arc", "valid.arc", "model.ckpt"):
+            with open(os.path.join(d, name), "rb") as fh:
+                files[name] = fh.read()
+    return files
+
+
+# half the files drawn are pristine copies, so that runs get past them
+E2E_VARIANT = st.just(("copy",)) | st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10**5)),
+    st.tuples(st.just("byte"), st.integers(0, 10**5), st.sampled_from(E2E_BYTES)),
+    st.tuples(st.just("insert"), st.integers(0, 10**5), st.sampled_from(E2E_INSERTS)),
+    st.tuples(st.just("edit"), st.integers(0, 5)),
+    st.just(("dir",)),
+    st.just(("missing",)),
+)
+
+
+def e2e_files(changed=None):
+    """File variants: every file a pristine copy except those in `changed`."""
+    return {**dict.fromkeys(E2E_EDITS, ("copy",)), **(changed or {})}
+
+
+def e2e_materialize(work: str, name: str, variant: tuple) -> None:
+    path = os.path.join(work, name)
+    kind, data = variant[0], e2e_base_files()[name]
+    if kind == "dir":
+        os.mkdir(path)
+        return
+    if kind == "missing":
+        return
+    if kind == "cut":
+        data = data[: variant[1] % (len(data) + 1)]
+    elif kind == "byte":
+        at = variant[1] % len(data)
+        data = data[:at] + bytes([variant[2]]) + data[at + 1 :]
+    elif kind == "insert":
+        at = variant[1] % (len(data) + 1)
+        data = data[:at] + variant[2] + data[at:]
+    elif kind == "edit":
+        edits = E2E_EDITS[name]
+        data = data.replace(*edits[variant[1] % len(edits)])
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def e2e_tree(root: str) -> dict:
+    """Every directory and file under root, files with their bytes."""
+    found = {}
+    for here, dirs, names in os.walk(root):
+        for d in dirs:
+            found[os.path.relpath(os.path.join(here, d), root)] = None
+        for n in names:
+            with open(os.path.join(here, n), "rb") as fh:
+                found[os.path.relpath(os.path.join(here, n), root)] = fh.read()
+    return found
+
+
+def e2e_paths(preferred: str):
+    # the path a run needs two times in three
+    return st.sampled_from([preferred] * 16 + ["train.arc", "valid.arc", "model.ckpt", "exp.cfg",
+                                               "sub", "run", "missing/x.arc", ""])
+
+
+# small integers half the time, else edge values and junk
+E2E_NUMBERS = st.integers(-2, 12).map(str) | st.sampled_from(
+    ["-1", "0", "nan", "inf", "-inf", "junk", "", "1.5", "1e999", "none"])
+E2E_WORDS = st.sampled_from(["none", "uni", "bi", "diagonal", "full", "off", "on",
+                             "ramp_then_halve", "constant_then_halve"])
+
+
+def e2e_one(values):
+    return values.map(lambda v: [v])
+
+
+E2E_PATH_KEYS = {"train_archive": "train.arc", "valid_archive": "valid.arc", "out_dir": "sub"}
+E2E_OVERRIDES = {
+    f"--{key}": e2e_one(e2e_paths(E2E_PATH_KEYS[key]) if key in E2E_PATH_KEYS
+                        else E2E_NUMBERS | E2E_WORDS)
+    for key in EXPERIMENT_KEYS
+}
+
+
+@st.composite
+def e2e_argv(draw):
+    """argv for one of the six subcommands; flags may repeat, and now and
+    then a stray token joins them."""
+
+    def flags(options: dict) -> list[str]:
+        argv = []
+        for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)):
+            argv += [flag, *draw(options[flag])]
+        return argv
+
+    command = draw(st.sampled_from(["gen", "train", "eval", "gradcheck", "params", "sweep"]))
+    if command == "gen":
+        sizes = E2E_NUMBERS | st.integers(1, 50).map(str)
+        argv = ["gen", "--task", draw(st.sampled_from(["delayed-recall", "future-recall", "parity",
+                                                        "junk"])),
+                *flags({"--classes": e2e_one(E2E_NUMBERS), "--delay": e2e_one(E2E_NUMBERS),
+                        "--window": e2e_one(E2E_NUMBERS), "--frames": e2e_one(sizes),
+                        "--count": e2e_one(sizes), "--seed": e2e_one(E2E_NUMBERS)}),
+                draw(e2e_paths("out.arc"))]
+    elif command in ("train", "sweep"):
+        argv = [command, draw(e2e_paths("exp.cfg"))]
+        if command == "sweep":
+            argv += ["--layers", draw(st.sampled_from(["2"] * 4 + ["1,2"] * 4 + [
+                "2,2", "0", "-1", "", ",", "x", "1,,2", "3,1", "nan"]))]
+        argv += flags(E2E_OVERRIDES)
+    elif command == "eval":
+        stream = st.sampled_from([2, 2, 2, 1, 3]).flatmap(
+            lambda n: st.lists(E2E_NUMBERS, min_size=n, max_size=n))
+        argv = ["eval", draw(e2e_paths("model.ckpt")), draw(e2e_paths("valid.arc")),
+                *flags({"--stream": stream})]
+    elif command == "gradcheck":
+        argv = ["gradcheck", *flags({
+            "--seed": e2e_one(E2E_NUMBERS),
+            "--layers": e2e_one(st.sampled_from(["-1", "0", "1", "2", "3", "junk"])),
+            "--frames": e2e_one(st.sampled_from(["-1", "0", "1", "5", "nan", "junk"])),
+            "--direction": e2e_one(st.sampled_from(["uni", "bi", "junk"])),
+            "--shared-form": e2e_one(st.sampled_from(["diagonal", "full", "junk"])),
+            "--no-residual": st.just([]), "--no-delay": st.just([]),
+            "--corrupt-gradient": st.just([]),
+        })]
+    else:
+        dims = E2E_NUMBERS | st.just("100000000000")
+        argv = ["params", "--input-dim", draw(dims), "--layers", draw(dims),
+                "--classes", draw(dims), *flags({
+                    "--wide-dim": e2e_one(dims), "--memory-dim": e2e_one(dims),
+                    "--direction": e2e_one(E2E_WORDS), "--shared-form": e2e_one(E2E_WORDS),
+                    "--compare-lstmp": st.lists(dims, min_size=5, max_size=5),
+                })]
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(argv)))
+        argv.insert(at, draw(st.sampled_from(["--bogus", "junk", "-", "--", "--help"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=e2e_argv(), files=st.just(e2e_files()) | st.fixed_dictionaries(
+    {name: E2E_VARIANT for name in E2E_EDITS}))
+@example(argv=["sweep", "exp.cfg", "--layers", "2", "--max_epochs", "0"], files=e2e_files())
+@example(argv=["train", "exp.cfg", "--max_epochs", "0"], files=e2e_files())
+@example(argv=["train", "exp.cfg", "--seed", "-1"], files=e2e_files())
+@example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 0)}))
+@example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 1)}))
+@example(argv=["params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
+               "--compare-lstmp", "0", "1", "1", "1", "1"], files=e2e_files())
+@example(argv=["sweep", "exp.cfg", "--layers", "2,2"], files=e2e_files())
+@example(argv=["train", "exp.cfg"], files=e2e_files())
+@example(argv=["eval", "model.ckpt", "valid.arc", "--stream", "3", "1"], files=e2e_files())
+def test_main_exits_0_1_or_2_and_a_usage_error_writes_nothing(argv, files):
+    # main never raises; exit 2 prints one `error:` line or argparse's usage
+    # to stderr, nothing to stdout, and leaves the directory as it was
+    home = os.getcwd()
+    work = tempfile.mkdtemp(prefix="rmnlab-e2e-")
+    try:
+        for name, variant in files.items():
+            e2e_materialize(work, name, variant)
+        os.mkdir(os.path.join(work, "sub"))
+        before = e2e_tree(work)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(home)
+        assert code in (0, 1, 2)
+        if code == 2:
+            said = err.getvalue()
+            assert out.getvalue() == ""
+            assert said.startswith("usage: ") or (said.count("\n") == 1
+                                                  and said.startswith("error: ")), said
+            assert e2e_tree(work) == before
+    finally:
+        shutil.rmtree(work)

@@ -5,6 +5,7 @@ identity, zero-init equivalence), analysis tools and checkpoints."""
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -713,6 +714,35 @@ def test_streamed_chunk_never_reads_beyond_its_context_window(lookahead):
         assert np.array_equal(out[start:end], clean[start:end]), start
 
 
+def test_streaming_buffers_only_what_later_windows_read(monkeypatch):
+    # a Carry holds the projection output and each layer's pre-activation
+    # and output; the wide input block's output and the relu inputs, which
+    # only a backward pass reads, are never buffered, and no ForwardCache
+    # is built
+    cfg = tiny_config(input_dim=4, wide_dim=64, memory_dim=8, num_memory_layers=8)
+    params = ready_params(cfg)
+    t_frames = 3000
+    x = np.random.default_rng(5).uniform(-2, 2, (t_frames, cfg.input_dim))
+    carried = 8 * t_frames * cfg.memory_dim * (1 + 2 * cfg.num_memory_layers)
+    unread = 8 * t_frames * (cfg.wide_dim + cfg.memory_dim * cfg.num_memory_layers)
+    tracemalloc.start()
+    try:
+        streaming_forward(params, cfg, x, chunk_size=50, lookahead=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < carried + unread / 2, (peak, carried, unread)
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("streaming built a ForwardCache")
+
+    monkeypatch.setattr(model_mod, "ForwardCache", no_cache)
+    for direction in ("uni", "bi"):
+        cfg = tiny_config(direction=direction)
+        x = np.random.default_rng(6).uniform(-2, 2, (40, cfg.input_dim))
+        streaming_forward(ready_params(cfg), cfg, x, chunk_size=7, lookahead=3)
+
+
 def test_carry_rejects_a_window_that_moves_back_or_overruns():
     cfg = tiny_config(direction="bi")
     params = ready_params(cfg)
@@ -737,7 +767,7 @@ def test_carry_accepts_windows_that_only_move_forward():
     x = RNG.uniform(-2, 2, (20, cfg.input_dim))
     carry = Carry(20)
     for rows, width in (((8, 10), 12), ((8, 11), 14), ((13, 20), 20)):
-        _, got = forward(params, cfg, x[:width], rows=rows, carry=carry)
+        got = forward(params, cfg, x[:width], rows=rows, carry=carry)
         _, want = forward(params, cfg, x[:width])
         assert rel_max(got, want[rows[0] : rows[1]]) < 1e-12, rows
 
@@ -868,7 +898,7 @@ class CarryMachine(RuleBasedStateMachine):
     def run(self, lo, hi, width):
         last_lo, last_width = self.last
         if last_lo <= lo and hi <= width and last_width <= width <= self.t_frames:
-            _, got = forward(self.params, self.cfg, self.x[:width], rows=(lo, hi), carry=self.carry)
+            got = forward(self.params, self.cfg, self.x[:width], rows=(lo, hi), carry=self.carry)
             _, want = forward(self.params, self.cfg, self.x[:width])
             assert rel_max(got, want[lo:hi]) < 1e-12
             self.last = (lo, width)

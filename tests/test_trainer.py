@@ -94,11 +94,18 @@ def test_train_config_validation():
         TrainConfig(peak_lr=-1.0)
     with pytest.raises(ValueError, match="peak_lr"):
         TrainConfig(base_lr=0.5, peak_lr=0.4)
+    with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+        TrainConfig(max_epochs=0)
+    with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+        TrainConfig(max_epochs=-3)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     TrainConfig(schedule="constant_then_halve", ramp_epochs=0)
     TrainConfig(schedule="constant_then_halve", base_lr=0.5, peak_lr=0.4)
     TrainConfig(base_lr=0.5, peak_lr=0.5)
     TrainConfig(truncation_chunk=None)
     TrainConfig(base_lr=0.0)  # explicit smoke-run support
+    TrainConfig(max_epochs=1, seed=0)
 
 
 # --- learning rate schedule ----------------------------------------------------
