@@ -113,8 +113,9 @@ def _load_experiment(args, layer_counts: list[int] | None = None):
     """Read and validate everything a training run needs, before anything
     is written: the settings, both corpora (`check_corpus`), the
     TrainConfig and one RMNConfig per entry of `layer_counts` (default: the
-    configured layer count). Returns (settings, train corpus, valid corpus,
-    TrainConfig, [RMNConfig])."""
+    configured layer count), none of them too large to train in physical
+    memory. Returns (settings, train corpus, valid corpus, TrainConfig,
+    [RMNConfig])."""
     # a sweep's --layers gives every run its depth
     supplied = () if layer_counts is None else ("num_memory_layers",)
     settings = load_experiment_config(args.config, _collect_overrides(args), supplied)
@@ -136,7 +137,23 @@ def _load_experiment(args, layer_counts: list[int] | None = None):
     # layer count shares
     check_corpus(model_configs[0], train_corpus, "train")
     check_corpus(model_configs[0], valid_corpus, "valid")
+    memory = _physical_memory()
+    for c in model_configs:
+        count = param_count(c)
+        # training holds a value, a gradient and a velocity per entry
+        if memory is not None and 24 * count > memory:
+            raise ConfigError(f"a model of {count} parameters needs {24 * count} bytes to train, "
+                              f"more than the {memory} bytes of physical memory")
     return settings, train_corpus, valid_corpus, train_config, model_configs
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 def _collect_overrides(args) -> dict[str, str]:

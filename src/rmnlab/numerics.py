@@ -45,8 +45,9 @@ class NumericError(ArithmeticError):
 class Parameter:
     """A trainable array bundled with its gradient and momentum buffers.
 
-    `value`, `grad` and `velocity` always share one shape. A float64
-    `value` array is kept as given, not copied. The `grad` and `velocity`
+    `value`, `grad` and `velocity` always share one shape and are
+    C-contiguous. A C-contiguous float64 `value` array is kept as given,
+    not copied; any other is copied into one. The `grad` and `velocity`
     buffers are made as zeros on first use, so a model that is only
     evaluated holds its values alone; `trainer.fit` makes them up front.
     Gradients are accumulated with `accumulate` and cleared with
@@ -54,7 +55,7 @@ class Parameter:
     """
 
     def __init__(self, value, name: str = ""):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.name = name
 
     @cached_property
@@ -101,7 +102,9 @@ def affine(x, w, b) -> np.ndarray:
         raise DimensionError(f"affine: input shape {x.shape} incompatible with weight shape {w.shape}")
     if b.shape[0] != w.shape[1]:
         raise DimensionError(f"affine: bias shape {b.shape} incompatible with weight shape {w.shape}")
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def affine_backward(x, w, grad_out):
@@ -191,8 +194,8 @@ def softmax_xent(logits, labels):
     is (softmax - onehot) / T.
     """
     loss, shifted, log_norm, rows, y = _xent(logits, labels)
-    probs = np.exp(shifted - log_norm[:, None])
-    grad = probs.copy()
+    # the gradient is built in `shifted`, which `_xent` made for this call
+    grad = np.exp(np.subtract(shifted, log_norm[:, None], out=shifted), out=shifted)
     grad[rows, y] -= 1.0
     grad /= rows.shape[0]
     return loss, grad

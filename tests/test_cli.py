@@ -7,6 +7,7 @@ import io
 import os
 import shutil
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 from rmnlab import cli
 from rmnlab.cli import EXPERIMENT_KEYS, ConfigError, load_experiment_config, main
 from rmnlab.data import Utterance, gen_delayed_recall, read_archive, write_archive
-from rmnlab.model import Model, RMNConfig, init_params, load_checkpoint, save_checkpoint
+from rmnlab.model import (
+    Model,
+    RMNConfig,
+    init_params,
+    load_checkpoint,
+    param_count,
+    save_checkpoint,
+)
 
 
 def run(*argv):
@@ -483,6 +491,23 @@ def test_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, me
     assert said.err == f"error: {message or 'out of memory'}\n"
 
 
+@pytest.mark.parametrize("argv", [["train"], ["sweep", "--layers", "2,300000000"]])
+def test_a_model_too_large_for_memory_is_refused_before_it_is_built(tmp_path, capsys, argv):
+    # building its 300 M layers would run for an hour before any MemoryError
+    train, valid = write_corpora(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(base_config_text(tmp_path, train, valid)
+                   .replace("num_memory_layers = 2", "num_memory_layers = 300000000"))
+    corpus = read_archive(train)
+    count = param_count(RMNConfig(input_dim=corpus.feature_dim, num_memory_layers=300000000,
+                                  num_classes=corpus.num_classes, wide_dim=8, memory_dim=4))
+    started = time.perf_counter()
+    assert_one_line_usage_error(capsys, argv[0], str(cfg), *argv[1:],
+                                mentions=f"a model of {count} parameters")
+    assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "run").exists()
+
+
 # --- sweep ------------------------------------------------------------------------------
 
 
@@ -596,7 +621,8 @@ E2E_EDITS = {
                    (b"param layer1_w", b"param layer2_w"), (b"input_dim 3", b"input_dim 1")],
     "exp.cfg": [(b"max_epochs = 2", b"max_epochs = 0"), (b"seed = 0", b"seed = -1"),
                 (b"wide_dim = 4", b"wide_dim = nan"), (b"out_dir = run", b"out_dir = sub"),
-                (b"valid.arc", b"train.arc"), (b"truncation_chunk = 4", b"truncation_chunk = 0")],
+                (b"valid.arc", b"train.arc"), (b"truncation_chunk = 4", b"truncation_chunk = 0"),
+                (b"num_memory_layers = 2", b"num_memory_layers = 300000000")],
     "train.arc": [(b"[ 4", b"[ 0"), (b"labels utt00001 ", b"labels utt00000 "), (b" 1 ", b" 9 ")],
     "valid.arc": [(b"[ 4", b"[ 9"), (b" 0 ", b" inf "), (b"utt00001", b"utt00000")],
 }
@@ -626,7 +652,7 @@ E2E_VARIANT = st.just(("copy",)) | st.one_of(
     st.tuples(st.just("cut"), st.integers(0, 10**5)),
     st.tuples(st.just("byte"), st.integers(0, 10**5), st.sampled_from(E2E_BYTES)),
     st.tuples(st.just("insert"), st.integers(0, 10**5), st.sampled_from(E2E_INSERTS)),
-    st.tuples(st.just("edit"), st.integers(0, 5)),
+    st.tuples(st.just("edit"), st.integers(0, 6)),
     st.just(("dir",)),
     st.just(("missing",)),
 )
@@ -758,6 +784,7 @@ def e2e_argv(draw):
 @example(argv=["sweep", "exp.cfg", "--layers", "2", "--max_epochs", "0"], files=e2e_files())
 @example(argv=["train", "exp.cfg", "--max_epochs", "0"], files=e2e_files())
 @example(argv=["train", "exp.cfg", "--seed", "-1"], files=e2e_files())
+@example(argv=["train", "exp.cfg"], files=e2e_files({"exp.cfg": ("edit", 6)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 0)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 1)}))
 @example(argv=["params", "--input-dim", "440", "--layers", "18", "--classes", "4006",

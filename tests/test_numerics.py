@@ -123,6 +123,37 @@ def test_softmax_xent_huge_logits_stay_finite():
     assert np.all(np.isfinite(grad))
 
 
+# the inputs are logits, or an affine's input rows, of the paper's 4006-class
+# classifier: one row, 256 rows, and logits scaled up to 1e300
+@pytest.mark.parametrize("rows, classes, scale", [
+    (1, 4006, 1.0), (3, 5, 1e300), (256, 4006, 1.0), (256, 4006, 1e300),
+])
+def test_softmax_xent_equals_its_literal_formula(rows, classes, scale):
+    logits = RNG.normal(size=(rows, classes)) * scale
+    labels = RNG.integers(0, classes, size=rows)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    at = np.arange(rows)
+    want_loss = float(np.mean(log_norm - shifted[at, labels]))
+    want_grad = np.exp(shifted - log_norm[:, None]).copy()
+    want_grad[at, labels] -= 1.0
+    want_grad /= rows
+
+    loss, grad = softmax_xent(logits, labels)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("rows, d_in, d_out, scale", [
+    (1, 1024, 4006, 1.0), (256, 1024, 4006, 1.0), (256, 40, 7, 1e300),
+])
+def test_affine_equals_its_literal_formula(rows, d_in, d_out, scale):
+    x = RNG.normal(size=(rows, d_in))
+    w = RNG.normal(size=(d_in, d_out))
+    b = RNG.normal(size=d_out) * scale
+    assert np.array_equal(affine(x, w, b), x @ w + b)
+
+
 def test_softmax_xent_label_out_of_range():
     with pytest.raises(LabelError):
         softmax_xent(np.zeros((2, 3)), np.array([0, 3]))

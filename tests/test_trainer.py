@@ -16,7 +16,7 @@ from rmnlab.model import (
     randomize_params,
     save_checkpoint,
 )
-from rmnlab.numerics import DimensionError, LabelError, NumericError
+from rmnlab.numerics import DimensionError, LabelError, NumericError, Parameter
 from rmnlab.trainer import (
     METRICS_HEADER,
     BatchPiece,
@@ -276,6 +276,89 @@ def test_zero_lr_leaves_values_untouched():
     sgd_step(model.params, 0.0, 0.9, 1e-5)
     for p, b in zip(model.params.parameters(), before):
         assert np.array_equal(p.value, b)
+
+
+class ParamList:
+    """Just the `parameters()` that `sgd_step` reads."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def parameters(self):
+        return self.params
+
+
+def sgd_literal(p, lr, momentum, l2):
+    """The update written on whole arrays."""
+    update = p.grad + l2 * p.value
+    p.velocity *= momentum
+    p.velocity -= lr * update
+    p.value += p.velocity
+    p.grad[...] = 0.0
+
+
+def as_2d(size):
+    """A 2-D shape of `size` entries, as square as its divisors allow."""
+    cols = max(d for d in range(1, int(size**0.5) + 1) if size % d == 0)
+    return (size // cols, cols)
+
+
+BLOCK = trainer_mod._SGD_BLOCK
+SGD_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_equals_the_whole_array_update_bit_for_bit(l2, momentum):
+    rng = np.random.default_rng(3)
+    shapes = [(n,) for n in SGD_SIZES] + [as_2d(n) for n in SGD_SIZES]
+    values = [rng.normal(size=shape) for shape in shapes]
+    blocked = ParamList([Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)])
+    whole = ParamList([Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)])
+    for _ in range(2):
+        for pb, pw in zip(blocked.parameters(), whole.parameters()):
+            pb.grad[...] = pw.grad[...] = rng.normal(size=pb.value.shape)
+        sgd_step(blocked, 0.1, momentum, l2)
+        for pw in whole.parameters():
+            sgd_literal(pw, 0.1, momentum, l2)
+        for pb, pw in zip(blocked.parameters(), whole.parameters()):
+            assert np.array_equal(pb.value, pw.value), pb.name
+            assert np.array_equal(pb.velocity, pw.velocity), pb.name
+            assert not pb.grad.any()
+
+
+def test_sgd_nonfinite_last_block_leaves_that_and_later_parameters_untouched():
+    rng = np.random.default_rng(4)
+    sizes = [BLOCK + 1, 3 * BLOCK + 5, 7]
+    params = ParamList([Parameter(rng.normal(size=n), f"p{i}") for i, n in enumerate(sizes)])
+    for p in params.parameters():
+        p.grad[...] = rng.normal(size=p.value.shape)
+    params.parameters()[1].grad[-1] = np.nan
+    first = Parameter(params.parameters()[0].value.copy())
+    first.grad[...] = params.parameters()[0].grad
+    sgd_literal(first, 0.1, 0.9, 1e-3)
+    kept = [(p.value.copy(), p.grad.copy()) for p in params.parameters()[1:]]
+
+    with pytest.raises(NumericError, match="non-finite update for p1 "):
+        sgd_step(params, 0.1, 0.9, 1e-3)
+    assert np.array_equal(params.parameters()[0].value, first.value)
+    for p, (value, grad) in zip(params.parameters()[1:], kept):
+        assert np.array_equal(p.value, value), p.name
+        assert np.array_equal(p.grad, grad, equal_nan=True), p.name
+
+
+def test_sgd_makes_no_full_size_temporary():
+    p = Parameter(np.ones(2_000_000), "big")
+    p.grad[...] = 1e-3
+    p.velocity
+    tracemalloc.start()
+    try:
+        sgd_step(ParamList([p]), 0.1, 0.9, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-array update peaked at two 16 MB temporaries
+    assert peak < 1_000_000
 
 
 # --- loss actually goes down ----------------------------------------------------
