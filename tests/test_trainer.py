@@ -357,7 +357,7 @@ def test_sgd_makes_no_full_size_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole-array update peaked at two 16 MB temporaries
+    # two full-size temporaries of this parameter would take 32 MB
     assert peak < 1_000_000
 
 
