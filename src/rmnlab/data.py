@@ -30,13 +30,42 @@ __all__ = [
 _REAL_FMT = "%.17g"
 
 
+class ParseError(ValueError):
+    """Malformed archive content; message names the offending line."""
+
+
 def _format_row(row: np.ndarray) -> str:
     """One row of reals in the exact text form, space-separated."""
     return " ".join([_REAL_FMT] * len(row)) % tuple(row.tolist())
 
 
-class ParseError(ValueError):
-    """Malformed archive content; message names the offending line."""
+def _parse_rows(lines: list[str], where) -> np.ndarray:
+    """`_format_row` lines back into a (rows, cols) float64 array by one
+    `np.loadtxt` call; no lines give (0, 0). ParseError names the first blank,
+    non-numeric, ragged or non-finite line as `where(i)`."""
+    if not lines:
+        return np.zeros((0, 0))
+    # loadtxt skips blank lines and warns on a block without data
+    if lines[0].strip():
+        try:
+            vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            if len(vals) == len(lines) and np.isfinite(vals).all():
+                return vals
+        except ValueError:
+            pass
+    width = len(lines[0].split())
+    for i, line in enumerate(lines):
+        if not line.strip():
+            raise ParseError(f"{where(i)}: blank row")
+        try:
+            row = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=1)
+        except ValueError:
+            raise ParseError(f"{where(i)}: non-numeric value") from None
+        if row.size != width:
+            raise ParseError(f"{where(i)}: row has {row.size} columns, expected {width}")
+        if not np.isfinite(row).all():
+            raise ParseError(f"{where(i)}: non-finite value")
+    raise ParseError(f"{where(0)}: rows do not parse")
 
 
 class FormatError(ValueError):
@@ -124,11 +153,8 @@ def read_archive(path) -> Corpus:
     row, or a bad labels line. A corpus that breaks `Corpus.validate`
     raises FormatError.
     """
-    utts: list[Utterance] = []
-    by_id: dict[str, Utterance] = {}
+    utts: dict[str, Utterance] = {}
     num_classes = 0
-    feature_dim = None
-
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -136,22 +162,19 @@ def read_archive(path) -> Corpus:
     except UnicodeDecodeError as e:
         bad_line = raw.count(b"\n", 0, e.start) + 1
         raise ParseError(f"line {bad_line}: bytes that are not UTF-8 text") from None
-    lines = io.StringIO(text, newline=None).readlines()
 
-    i = 0
-    while i < len(lines):
-        line_no = i + 1
-        tokens = lines[i].split()
-        i += 1
+    numbered = enumerate(io.StringIO(text, newline=None), 1)
+    for line_no, line in numbered:
+        tokens = line.split()
         if not tokens:
             continue
         if tokens[0] == "labels":
             if len(tokens) < 2:
                 raise ParseError(f"line {line_no}: labels line without utterance id")
             utt_id = tokens[1]
-            if utt_id not in by_id:
+            if utt_id not in utts:
                 raise ParseError(f"line {line_no}: labels for unknown utterance {utt_id!r}")
-            u = by_id[utt_id]
+            u = utts[utt_id]
             if u.labels is not None:
                 raise FormatError(f"line {line_no}: duplicate labels for {utt_id!r}")
             try:
@@ -169,9 +192,9 @@ def read_archive(path) -> Corpus:
 
         # features block header: <id> [ K
         if len(tokens) != 3 or tokens[1] != "[":
-            raise ParseError(f"line {line_no}: expected '<id> [ K' header, got {lines[i-1].rstrip()!r}")
+            raise ParseError(f"line {line_no}: expected '<id> [ K' header, got {line.rstrip()!r}")
         utt_id = tokens[0]
-        if utt_id in by_id:
+        if utt_id in utts:
             raise FormatError(f"line {line_no}: duplicate utterance id {utt_id!r}")
         try:
             k = int(tokens[2])
@@ -179,50 +202,25 @@ def read_archive(path) -> Corpus:
             raise ParseError(f"line {line_no}: class count {tokens[2]!r} is not an integer") from None
         num_classes = max(num_classes, k)
 
-        rows: list[list[float]] = []
-        row_lines: list[int] = []
-        closed = False
-        while i < len(lines):
-            line_no = i + 1
-            row_tokens = lines[i].split()
-            i += 1
-            if row_tokens and row_tokens[-1] == "]":
-                closed = True
-                row_tokens = row_tokens[:-1]
-            if row_tokens:
-                try:
-                    rows.append([float(v) for v in row_tokens])
-                except ValueError:
-                    raise ParseError(f"line {line_no}: non-numeric feature value") from None
-                row_lines.append(line_no)
-                if len(rows[-1]) != len(rows[0]):
-                    raise ParseError(
-                        f"line {line_no}: row has {len(rows[-1])} columns, expected {len(rows[0])}"
-                    )
+        # the row lines up to a closing "]" set off by whitespace
+        rows = []  # (line number, values)
+        for row_no, row in numbered:
+            row = row.strip()
+            closed = row.endswith("]") and not row[-2:-1].strip()
+            rows.append((row_no, row[:-1] if closed else row))
             if closed:
                 break
-        if not closed:
+        else:
             raise ParseError(f"line {line_no}: unterminated features block for {utt_id!r}")
+        rows = [(n, row) for n, row in rows if row]
+        feats = _parse_rows([row for _, row in rows], lambda j: f"line {rows[j][0]}")
+        utts[utt_id] = Utterance(utt_id, feats)
 
-        feats = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-        finite = np.isfinite(feats).all(axis=1)
-        if not finite.all():
-            raise ParseError(f"line {row_lines[int(np.argmin(finite))]}: non-finite feature value")
-        if feature_dim is None and rows:
-            feature_dim = feats.shape[1]
-        elif rows and feats.shape[1] != feature_dim:
-            raise FormatError(
-                f"line {line_no}: utterance {utt_id!r} has {feats.shape[1]} feature "
-                f"columns, corpus uses {feature_dim}"
-            )
-        u = Utterance(id=utt_id, features=feats, labels=None)
-        utts.append(u)
-        by_id[utt_id] = u
-
-    for u in utts:
+    feature_dim = next((u.features.shape[1] for u in utts.values() if u.num_frames), 0)
+    for u in utts.values():
         if u.num_frames == 0:
-            u.features = np.zeros((0, feature_dim or 0))
-    corpus = Corpus(utterances=utts, feature_dim=feature_dim or 0, num_classes=num_classes)
+            u.features = np.zeros((0, feature_dim))
+    corpus = Corpus(utterances=list(utts.values()), feature_dim=feature_dim, num_classes=num_classes)
     corpus.validate()
     return corpus
 

@@ -813,11 +813,12 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint; any malformed, truncated or non-finite file
-    raises ValueError naming `path`.
+    """Read a checkpoint; any malformed, truncated or non-finite file, or
+    one with more than whitespace after its last parameter, raises
+    ValueError naming `path`.
 
     The rows of each parameter are read in blocks of `_CKPT_BLOCK_ROWS`,
-    each parsed by one `np.loadtxt` call and copied into the parameter's
+    each parsed by the archive's row parser and copied into the parameter's
     values, so the reader holds the model plus one block of text. No
     `grad` or `velocity` buffer is made. A header that declares more values
     than the file can hold is refused before anything is allocated."""
@@ -868,6 +869,8 @@ def _read_checkpoint(fh) -> Model:
             block = rows[lo : lo + _CKPT_BLOCK_ROWS]
             block[...] = _read_rows(fh, p.name, lo, block.shape)
         line = fh.readline()
+    if any(rest.strip() for rest in itertools.chain([line], fh)):
+        raise ValueError("content after the last parameter")
     return Model(config=config, params=params)
 
 
@@ -879,15 +882,7 @@ def _read_rows(fh, name: str, lo: int, shape: tuple[int, int]) -> np.ndarray:
     # number would otherwise load a different value
     if len(lines) < shape[0] or not lines[-1].endswith("\n"):
         raise ValueError(f"parameter {name!r} is truncated")
-    try:
-        vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as e:
-        raise ValueError(f"parameter {name!r}: {e}") from None
+    vals = data_mod._parse_rows(lines, lambda i: f"parameter {name!r} row {lo + i}")
     if vals.shape != shape:
-        raise ValueError(
-            f"parameter {name!r}: rows {lo}..{lo + shape[0] - 1} parse to shape "
-            f"{vals.shape}, expected {shape}"
-        )
-    if not np.isfinite(vals).all():
-        raise ValueError(f"parameter {name!r} holds non-finite values")
+        raise ValueError(f"parameter {name!r}: rows from {lo} have shape {vals.shape}, not {shape}")
     return vals

@@ -255,6 +255,8 @@ def _score(model: Model, groups, logits_of) -> tuple[float, float]:
             ce_sum += xent_loss(own, utt.labels) * utt.num_frames
             errors += int(np.sum(np.argmax(own, axis=1) != utt.labels))
             total_frames += utt.num_frames
+    if not total_frames:
+        raise ValueError("corpus is empty")
     return ce_sum / total_frames, errors / total_frames
 
 

@@ -423,7 +423,21 @@ def test_eval_non_finite_checkpoint_is_usage_error(tmp_path, capsys):
     lines[row] = "nan" + lines[row][lines[row].index(" "):]
     ckpt.write_text("".join(lines))
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid),
-                                mentions=f"{ckpt}: parameter 'layer2_w' holds non-finite values")
+                                mentions=f"{ckpt}: parameter 'layer2_w' row 0: non-finite value")
+
+
+@pytest.mark.parametrize("damage", ["blank input_b row", "appended junk"])
+def test_eval_damaged_checkpoint_is_one_line_usage_error(tmp_path, capsys, damage):
+    ckpt, valid = trained_checkpoint(tmp_path)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    if damage == "blank input_b row":
+        lines[next(i for i, ln in enumerate(lines) if ln.startswith("param input_b")) + 1] = "\n"
+        mentions = "parameter 'input_b' row 0: blank row"
+    else:
+        lines.append("junk\n")
+        mentions = "content after the last parameter"
+    ckpt.write_text("".join(lines))
+    assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=f"{ckpt}: {mentions}")
 
 
 @pytest.mark.parametrize("stream", [[], ["--stream", "1", "0"]])
@@ -613,12 +627,13 @@ seed = 0
 """
 
 # edits that keep a file's layout; the first two checkpoint edits declare
-# far more values than the file holds
+# far more values than the file holds, and the last blanks input_b's one row
 E2E_EDITS = {
     "model.ckpt": [(b"wide_dim 4\n", b"wide_dim 100000000000\n"),
                    (b"num_memory_layers 2\n", b"num_memory_layers 300000000\n"),
                    (b"direction uni", b"direction bi"), (b"num_classes 4", b"num_classes 3"),
-                   (b"param layer1_w", b"param layer2_w"), (b"input_dim 3", b"input_dim 1")],
+                   (b"param layer1_w", b"param layer2_w"), (b"input_dim 3", b"input_dim 1"),
+                   (b"param input_b 1 4\n0 0 0 0\n", b"param input_b 1 4\n\n")],
     "exp.cfg": [(b"max_epochs = 2", b"max_epochs = 0"), (b"seed = 0", b"seed = -1"),
                 (b"wide_dim = 4", b"wide_dim = nan"), (b"out_dir = run", b"out_dir = sub"),
                 (b"valid.arc", b"train.arc"), (b"truncation_chunk = 4", b"truncation_chunk = 0"),
@@ -787,6 +802,7 @@ def e2e_argv(draw):
 @example(argv=["train", "exp.cfg"], files=e2e_files({"exp.cfg": ("edit", 6)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 0)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 1)}))
+@example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 6)}))
 @example(argv=["params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
                "--compare-lstmp", "0", "1", "1", "1", "1"], files=e2e_files())
 @example(argv=["sweep", "exp.cfg", "--layers", "2,2"], files=e2e_files())

@@ -130,6 +130,16 @@ def test_archive_rejects_non_finite_features_naming_the_line(tmp_path, value):
         read_archive(path)
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "\uff11"])
+def test_archive_numbers_follow_numpys_grammar(tmp_path, value):
+    # Python's float() reads these; numpy's parser, shared with the
+    # checkpoint reader, does not
+    path = tmp_path / "bad.arc"
+    path.write_text(f"u0 [ 2\n 1 2\n 3 {value} ]\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3: non-numeric"):
+        read_archive(path)
+
+
 def read_or_typed_error(path):
     """read_archive's contract: a Corpus that validates, or a typed error."""
     try:

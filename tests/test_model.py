@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
@@ -40,7 +40,8 @@ from rmnlab.model import _rows
 from rmnlab import model as model_mod
 from rmnlab.numerics import DimensionError, affine, softmax_xent
 
-from reference_model import grad_errors, ref_backward, ref_forward, rel_max
+from reference_model import (grad_errors, named_grads, ref_backward, ref_forward, ref_grad_scale,
+                             rel_max)
 
 RNG = np.random.default_rng(123)
 
@@ -281,7 +282,8 @@ def test_trimmed_forward_and_windowed_backward_match_reference(variant):
         loss = backward(params, cfg, cache, labels, grad_window=(lo, hi))
         ref_loss_val, ref_grads = ref_backward(params, cfg, store, labels, grad_window=(lo, hi))
         assert loss == pytest.approx(ref_loss_val, rel=1e-12)
-        worst = grad_errors(params, ref_grads)
+        scale = ref_grad_scale(params, cfg, store, labels, grad_window=(lo, hi))
+        worst = grad_errors(params, ref_grads, scale)
         assert max(worst.values()) < 1e-12, ((lo, hi), worst)
 
 
@@ -826,8 +828,18 @@ def fuzz_cases(draw):
             draw(st.integers(0, 999)))
 
 
+# draws whose gradients nearly cancel: at one frame out1_b's gradient is
+# out2_w[0] . g_logits, six terms of a softmax-minus-one-hot that sums to
+# zero; both failed a bound relative to the largest |reference| entry
 @settings(max_examples=200, deadline=None)
 @given(case=fuzz_cases())
+@example(case=(RMNConfig(input_dim=3, num_memory_layers=1, num_classes=6, wide_dim=1, memory_dim=1,
+                         residual_interval=None, delay_enabled=False, splice_right=2),
+               1, 2, (0, 1), (0, 1), 1, 0, 1, 741))
+@example(case=(RMNConfig(input_dim=6, num_memory_layers=5, num_classes=3, wide_dim=6, memory_dim=4,
+                         direction="bi", shared_weight_form="full", residual_interval=1,
+                         delay_enabled=True, splice_right=2),
+               2, 16, (0, 14), (11, 14), 1, 0, 1, 139))
 def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     # trimmed forward and windowed backward against the frame loop over the
     # whole utterance; every streamed chunk against forward over the prefix
@@ -846,7 +858,8 @@ def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     loss = backward(params, cfg, cache, labels, grad_window=window)
     ref_loss_val, ref_grads = ref_backward(params, cfg, store, labels, grad_window=window)
     assert loss == pytest.approx(ref_loss_val, rel=1e-12)
-    worst = grad_errors(params, ref_grads)
+    scale = ref_grad_scale(params, cfg, store, labels, grad_window=window)
+    worst = grad_errors(params, ref_grads, scale)
     assert max(worst.values()) < 1e-12, worst
 
     out = streaming_forward(params, cfg, x, chunk_size=chunk, lookahead=lookahead)
@@ -862,6 +875,27 @@ def test_fuzzed_forward_backward_and_streaming_match_the_reference(case):
     assert rel_max(stacked[other : other + t_frames], ref_logits) < 1e-12
     assert rel_max(stacked[:other], y_alone) < 1e-12
     assert rel_max(stacked[other + t_frames :], y_alone) < 1e-12
+
+
+def test_a_gradient_off_by_1e_9_of_its_magnitude_sum_fails_the_reference_comparison():
+    # the negative control of grad_errors' bound: 1e-12 of the magnitude sum
+    cfg = tiny_config(direction="bi", shared_weight_form="full")
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (12, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 12)
+    store, _ = ref_forward(params, cfg, x)
+    cache, _ = forward(params, cfg, x)
+    params.zero_grads()
+    backward(params, cfg, cache, labels)
+    _, ref_grads = ref_backward(params, cfg, store, labels)
+    scale = ref_grad_scale(params, cfg, store, labels)
+    assert max(grad_errors(params, ref_grads, scale).values()) < 1e-12
+    for p in params.parameters():
+        sums = named_grads(scale)[p.name]
+        entry = np.unravel_index(np.argmax(sums), sums.shape)
+        p.grad[entry] += 1e-9 * sums[entry]
+        assert grad_errors(params, ref_grads, scale)[p.name] > 1e-12, p.name
+        p.grad[entry] -= 1e-9 * sums[entry]
 
 
 class CarryMachine(RuleBasedStateMachine):
@@ -1006,7 +1040,8 @@ def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_li
 
 
 @pytest.mark.parametrize("damage", ["cut at a block end", "cut in the second block",
-                                    "short row in the third block", "nan in the second block"])
+                                    "short row in the third block", "nan in the second block",
+                                    "blank row in the second block"])
 def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
     cfg = tiny_config(**MULTI_BLOCK)
     path = tmp_path / "model.ckpt"
@@ -1020,13 +1055,32 @@ def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
     elif damage == "short row in the third block":
         row = first + 2 * BLOCK + 3
         lines[row] = lines[row].rsplit(" ", 1)[0] + "\n"
+    elif damage == "blank row in the second block":
+        lines[first + BLOCK + 7] = "\n"
     else:
         row = first + BLOCK + 7
         values = lines[row].split()
         values[1] = "nan"
         lines[row] = " ".join(values) + "\n"
     path.write_text("".join(lines))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'input_w'")):
+    cause = {"short row in the third block": f"row {2 * BLOCK + 3}: row has",
+             "nan in the second block": f"row {BLOCK + 7}: non-finite",
+             "blank row in the second block": f"row {BLOCK + 7}: blank row"}.get(damage, "is truncated")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'input_w' {cause}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tail", ["junk\n", "0 0 0\n", "a second checkpoint"],
+                         ids=["junk", "a row", "a second checkpoint"])
+def test_content_after_the_last_parameter_is_refused(tmp_path, tail):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    text = path.read_text()
+    path.write_text(text + " \n\t\n")
+    assert isinstance(load_checkpoint(path), Model)
+    path.write_text(text + (text if tail == "a second checkpoint" else "\n" + tail))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: content after the last parameter")):
         load_checkpoint(path)
 
 

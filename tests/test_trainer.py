@@ -516,6 +516,14 @@ def test_evaluate_rejects_a_bad_utterance_anywhere_in_a_group(position, fault, e
         evaluate(model, corpus)
 
 
+@pytest.mark.parametrize("score", [evaluate, lambda m, c: evaluate_streaming(m, c, 4, 1)],
+                         ids=["evaluate", "evaluate_streaming"])
+def test_scoring_an_empty_corpus_is_a_value_error(score):
+    model = small_model()
+    with pytest.raises(ValueError, match="corpus is empty"):
+        score(model, Corpus([], model.config.input_dim, model.config.num_classes))
+
+
 def test_evaluate_keeps_no_forward_cache():
     # a deep, narrow model: the cache of one utterance is several times the
     # arrays that scoring it needs at once. Every utterance is a group of its own.
