@@ -828,9 +828,10 @@ def fuzz_cases(draw):
             draw(st.integers(0, 999)))
 
 
-# draws whose gradients nearly cancel: at one frame out1_b's gradient is
-# out2_w[0] . g_logits, six terms of a softmax-minus-one-hot that sums to
-# zero; both failed a bound relative to the largest |reference| entry
+# draws whose gradient sums nearly cancel; both failed a bound relative to
+# the largest |reference| entry. In the first, out1_b's gradient at one
+# frame is out2_w[0] . g_logits, six terms of a softmax minus a one-hot,
+# which sums to zero
 @settings(max_examples=200, deadline=None)
 @given(case=fuzz_cases())
 @example(case=(RMNConfig(input_dim=3, num_memory_layers=1, num_classes=6, wide_dim=1, memory_dim=1,
