@@ -39,21 +39,25 @@ def _format_row(row: np.ndarray) -> str:
     return " ".join([_REAL_FMT] * len(row)) % tuple(row.tolist())
 
 
-def _parse_rows(lines: list[str], where) -> np.ndarray:
+def _parse_rows(lines: list[str], where, width: int | None = None) -> np.ndarray:
     """`_format_row` lines back into a (rows, cols) float64 array by one
     `np.loadtxt` call; no lines give (0, 0). ParseError names the first blank,
-    non-numeric, ragged or non-finite line as `where(i)`."""
+    non-numeric, ragged or non-finite line as `where(i)`. A row is ragged
+    when its width differs from `width`, or without it from the first
+    line's."""
     if not lines:
         return np.zeros((0, 0))
     # loadtxt skips blank lines and warns on a block without data
     if lines[0].strip():
         try:
             vals = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-            if len(vals) == len(lines) and np.isfinite(vals).all():
+            if (len(vals) == len(lines) and width in (None, vals.shape[1])
+                    and np.isfinite(vals).all()):
                 return vals
         except ValueError:
             pass
-    width = len(lines[0].split())
+    if width is None:
+        width = len(lines[0].split())
     for i, line in enumerate(lines):
         if not line.strip():
             raise ParseError(f"{where(i)}: blank row")

@@ -332,13 +332,6 @@ def _apply_shared(tap: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
     return tap @ shared.value
 
 
-def _apply_shared_backward(tap: np.ndarray, shared: Parameter, form: str, g: np.ndarray):
-    """(g_tap, g_shared): gradients of `_apply_shared` w.r.t. both inputs."""
-    if form == "diagonal":
-        return diag_scale_backward(tap, shared.value, g)
-    return g @ shared.value.T, tap.T @ g
-
-
 def model_input(config: RMNConfig, features: np.ndarray) -> np.ndarray:
     """Splice raw features into the model's input layout when configured."""
     if config.splice_left == 0 and config.splice_right == 0:
@@ -579,6 +572,20 @@ def backward(
     Every gradient row outside the window is zero, so every GEMM, relu and
     diagonal scale runs on the window rows only; the delayed taps read
     their `pre[t -/+ m]` values from the cache outside the window.
+
+    Only the products are computed. A memory layer's relu gradient is a
+    fresh array (its incoming gradient may also be a shortcut's), and each
+    tap's adjoint is added into it in place, through views, once every tap
+    has read it; a tap whose delay spans the window adds nothing. The
+    diagonal form reads its taps as views of the cached pre-activations;
+    the full form keeps a zero-padded tap for its weight product, since a
+    shorter GEMM inner dimension rounds differently. No copy of the relu
+    gradient, no zero-padded copy of a tap adjoint and no gradient at the
+    input features is built, and a weight's first product after
+    `zero_grad` is written straight into its grad buffer. Gradients equal
+    those of the padded formulation bit for bit apart from the sign of
+    exact zeros; a non-finite gradient reaching a relu stays non-finite
+    (`relu_backward`).
     """
     if cache.params_ref is not params:
         raise ConsistencyError("cache was produced by a different ModelParams instance")
@@ -613,34 +620,65 @@ def backward(
         g_out = g_outs.pop(l + 1)
         if src is not None:
             g_outs[src] = g_out
-        a = spans[l][0]
+        a, pre = spans[l][0], cache.layer_pre[l]
         g_sum = relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
-        g_pre = g_sum.copy()
+        adjoints = []
         for shared, k in taps:
-            tap = _rows(cache.layer_pre[l], lo - a - k, hi - a - k)
-            g_tap, g_shared = _apply_shared_backward(tap, shared, config.shared_weight_form, g_sum)
-            shared.accumulate(g_shared)
-            # tap adjoint: gradient at z(t) lands on pre(t-k), dropped when
-            # t-k falls outside the window
-            g_pre += _rows(g_tap, k, hi - lo + k)
-        g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_pre)
-        g_outs[l] = g_below + g_outs[l] if l in g_outs else g_below
+            # z rows [t0, t1) read a tap row t - k inside pre, the others zeros;
+            # the window's pre rows [s0, s1) take the adjoint of z rows s + k,
+            # all of which lie in [t0, t1)
+            t0, t1 = max(lo, a + k), min(hi, a + len(pre) + k)
+            s0, s1 = max(lo, lo - k), min(hi, hi - k)
+            if t0 >= t1:
+                continue
+            if config.shared_weight_form == "diagonal":
+                g_tap, g_shared = diag_scale_backward(
+                    pre[t0 - a - k : t1 - a - k], shared.value, g_sum[t0 - lo : t1 - lo])
+                shared.accumulate(g_shared)
+            else:
+                _add_product(shared, _rows(pre, lo - a - k, hi - a - k).T, g_sum)
+                # every window row, as the padded product had them: a row of a
+                # product with fewer rows need not round the same
+                t0, g_tap = lo, g_sum @ shared.value.T if s0 < s1 else None
+            if s0 < s1:
+                adjoints.append((s0, s1, g_tap[s0 + k - t0 : s1 + k - t0]))
+        # added once every tap has read g_sum, in tap order
+        for s0, s1, g_tap in adjoints:
+            g_sum[s0 - lo : s1 - lo] += g_tap
+        g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum)
+        if l in g_outs:
+            g_below += g_outs[l]
+        g_outs[l] = g_below
 
     a = spans[0][0]
     g_proj_pre = relu_backward(win(cache.proj_post, a), g_outs[0])
     g_input_post = _affine_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g_proj_pre)
     g_input_pre = relu_backward(win(cache.input_post, a), g_input_post)
-    _affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g_input_pre)
+    _affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g_input_pre, input_grad=False)
     return loss
 
 
-def _affine_grads(x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray) -> np.ndarray:
+def _affine_grads(
+    x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, input_grad: bool = True
+) -> np.ndarray | None:
     """Accumulate the weight and bias gradients of `affine(x, w, b)` given
-    its output gradient g; returns the gradient at x."""
-    g_x, g_w, g_b = affine_backward(x, w.value, g)
-    w.accumulate(g_w)
+    its output gradient g; returns the gradient at x (None without
+    `input_grad`)."""
+    out = w.grad_to_overwrite()
+    g_x, g_w, g_b = affine_backward(x, w.value, g, grad_w_out=out, input_grad=input_grad)
+    if out is None:
+        w.accumulate(g_w)
     b.accumulate(g_b)
     return g_x
+
+
+def _add_product(p: Parameter, a: np.ndarray, b: np.ndarray) -> None:
+    """Accumulate a @ b into p's gradient."""
+    out = p.grad_to_overwrite()
+    if out is None:
+        p.accumulate(a @ b)
+    else:
+        np.matmul(a, b, out=out)
 
 
 def check_gradients(
@@ -882,7 +920,4 @@ def _read_rows(fh, name: str, lo: int, shape: tuple[int, int]) -> np.ndarray:
     # number would otherwise load a different value
     if len(lines) < shape[0] or not lines[-1].endswith("\n"):
         raise ValueError(f"parameter {name!r} is truncated")
-    vals = data_mod._parse_rows(lines, lambda i: f"parameter {name!r} row {lo + i}")
-    if vals.shape != shape:
-        raise ValueError(f"parameter {name!r}: rows from {lo} have shape {vals.shape}, not {shape}")
-    return vals
+    return data_mod._parse_rows(lines, lambda i: f"parameter {name!r} row {lo + i}", shape[1])

@@ -2,9 +2,16 @@
 
 Sequences are stored frames-as-rows: a length-T utterance with d features
 is a (T, d) float64 array in row-major order. Every backward function
-returns plain gradient arrays; accumulation into a Parameter's grad buffer
-is always additive (+=), never an overwrite, because shared weights collect
-contributions from many layers and time steps.
+returns plain gradient arrays, and a Parameter's grad buffer collects them
+additively, because shared weights collect contributions from many layers
+and time steps. The one exception is the first contribution after
+`zero_grad`, which a weight product may write straight into the zeroed
+buffer (`Parameter.grad_to_overwrite`): the same values, bar the sign of an
+exact zero.
+
+Gradients through relu are masked by multiplication, so a NaN or infinite
+incoming gradient stays non-finite at an inactive unit instead of being
+zeroed there (see `relu_backward`).
 """
 
 from __future__ import annotations
@@ -51,8 +58,14 @@ class Parameter:
     buffers are made as zeros on first use, so a model that is only
     evaluated holds its values alone; `trainer.fit` makes them up front.
     Gradients are accumulated with `accumulate` and cleared with
-    `zero_grad`.
+    `zero_grad`; the first contribution after `zero_grad` may instead be
+    written into the buffer that `grad_to_overwrite` hands out. A caller
+    that writes into `grad` directly calls `zero_grad` before the next
+    backward pass, since `grad_to_overwrite` takes the buffer for zero
+    until then.
     """
+
+    _grad_is_zero = True  # grad holds the zeros it was made or cleared with
 
     def __init__(self, value, name: str = ""):
         self.value = np.asarray(value, dtype=np.float64, order="C")
@@ -73,10 +86,22 @@ class Parameter:
                 f"does not match value shape {self.value.shape}"
             )
         self.grad += g
+        self._grad_is_zero = False
+
+    def grad_to_overwrite(self) -> np.ndarray | None:
+        """The grad buffer, for a contribution to be written into rather
+        than added, when it still holds only the zeros `zero_grad` left;
+        else None, and the contribution goes through `accumulate`. Either
+        way the buffer counts as written from then on."""
+        if not self._grad_is_zero:
+            return None
+        self._grad_is_zero = False
+        return self.grad
 
     def zero_grad(self) -> None:
         if "grad" in vars(self):  # a buffer never made is zero already
             self.grad[...] = 0.0
+        self._grad_is_zero = True
 
     @property
     def size(self) -> int:
@@ -107,12 +132,15 @@ def affine(x, w, b) -> np.ndarray:
     return out
 
 
-def affine_backward(x, w, grad_out):
+def affine_backward(x, w, grad_out, *, grad_w_out=None, input_grad: bool = True):
     """Gradients of `affine` w.r.t. input, weight and bias.
 
     Returns (grad_x, grad_w, grad_b). grad_w sums over all rows (time
     steps) of the sequence, so one call already aggregates the whole
-    utterance.
+    utterance. With `grad_w_out`, grad_w is written into that array and
+    returned as it; with `input_grad` false, grad_x is not computed and
+    comes back as None (the input block's input is data, which nothing
+    differentiates).
     """
     x = _as2d(x, "affine input")
     w = _as2d(w, "affine weight")
@@ -122,8 +150,8 @@ def affine_backward(x, w, grad_out):
             f"affine_backward: output gradient shape {g.shape} does not match "
             f"forward output shape {(x.shape[0], w.shape[1])}"
         )
-    grad_x = g @ w.T
-    grad_w = x.T @ g
+    grad_x = g @ w.T if input_grad else None
+    grad_w = np.matmul(x.T, g, out=grad_w_out)
     grad_b = g.sum(axis=0)
     return grad_x, grad_w, grad_b
 
@@ -135,13 +163,19 @@ def relu(x) -> np.ndarray:
 def relu_backward(x, grad_out) -> np.ndarray:
     """Pass gradient where the pre-activation was strictly positive.
 
-    The subgradient at exactly 0 is taken as 0.
+    The subgradient at exactly 0 is taken as 0. The gradient is masked by
+    multiplying it with `x > 0`, one pass that returns a fresh array: for a
+    finite gradient that equals `np.where(x > 0, grad_out, 0)` except that
+    an inactive unit keeps the sign of its gradient's zero (g * 0 = -0 for
+    negative g). A NaN or infinite gradient stays non-finite (NaN) at an
+    inactive unit instead of being zeroed, so a fault upstream is not
+    hidden by a dead unit.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if x.shape != g.shape:
         raise DimensionError(f"relu_backward: shapes {x.shape} and {g.shape} differ")
-    return np.where(x > 0.0, g, 0.0)
+    return g * (x > 0.0)
 
 
 def diag_scale(x, d_vec) -> np.ndarray:

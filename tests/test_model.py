@@ -287,6 +287,90 @@ def test_trimmed_forward_and_windowed_backward_match_reference(variant):
         assert max(worst.values()) < 1e-12, ((lo, hi), worst)
 
 
+def backward_literal(params, cfg, cache, labels, grads, loss_scale=1.0, grad_window=None):
+    """`backward` written out per layer on whole arrays: np.where relu
+    masks, a copy of each relu gradient, zero-padded taps and tap adjoints,
+    and every product a fresh array added into `grads` ({name: array}).
+    Returns the loss."""
+
+    def relu_grad(x, g):
+        return np.where(x > 0.0, g, 0.0)
+
+    def affine_grads(x, w, b, g):
+        grads[w.name] += x.T @ g
+        grads[b.name] += g.sum(axis=0)
+        return g @ w.value.T
+
+    spans = cache.spans
+    r_lo, r_hi = spans[-1]
+    lo, hi = (r_lo, r_hi) if grad_window is None else grad_window
+
+    def win(a, start):
+        return a[lo - start : hi - start]
+
+    loss, g_logits = softmax_xent(win(cache.logits, r_lo), labels[lo:hi])
+    g_logits *= loss_scale
+    g = affine_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits)
+    g = relu_grad(win(cache.out1_post, r_lo), g)
+    outs = [cache.proj_post] + cache.layer_out
+    g_outs = {len(outs) - 1: affine_grads(win(outs[-1], r_lo), params.out1_w, params.out1_b, g)}
+    for l, (taps, src) in reversed(list(enumerate(model_mod._wiring(params, cfg)))):
+        g_out = g_outs.pop(l + 1)
+        if src is not None:
+            g_outs[src] = g_out
+        a = spans[l][0]
+        g_sum = relu_grad(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
+        g_pre = g_sum.copy()
+        for shared, k in taps:
+            tap = _rows(cache.layer_pre[l], lo - a - k, hi - a - k)
+            if cfg.shared_weight_form == "diagonal":
+                g_tap, g_shared = g_sum * shared.value, (tap * g_sum).sum(axis=0)
+            else:
+                g_tap, g_shared = g_sum @ shared.value.T, tap.T @ g_sum
+            grads[shared.name] += g_shared
+            g_pre += _rows(g_tap, k, hi - lo + k)
+        g_below = affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_pre)
+        g_outs[l] = g_below + g_outs[l] if l in g_outs else g_below
+    a = spans[0][0]
+    g = relu_grad(win(cache.proj_post, a), g_outs[0])
+    g = affine_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g)
+    g = relu_grad(win(cache.input_post, a), g)
+    affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g)
+    return loss
+
+
+# forward rows and the grad windows inside them, summed as one training step
+# sums its pieces: both utterance edges, 1-row windows, and windows shorter
+# than the first layer's delay of 4
+LITERAL_PIECES = [
+    [((0, 30), None)],
+    [((0, 3), None), ((27, 30), None), ((15, 16), None)],
+    [((0, 1), None), ((29, 30), None)],
+    [((5, 25), (8, 10)), ((2, 28), (2, 28)), ((0, 12), (11, 12))],
+]
+
+
+@pytest.mark.parametrize("splice", [0, 1])
+@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+def test_backward_equals_the_literal_per_layer_formulation_bit_for_bit(variant, splice):
+    raw_dim, t_frames = 2, 30
+    cfg = tiny_config(num_memory_layers=4, input_dim=raw_dim * (2 * splice + 1),
+                      splice_left=splice, splice_right=splice, **variant)
+    params = ready_params(cfg)
+    x = model_input(cfg, RNG.uniform(-2, 2, (t_frames, raw_dim)))
+    labels = RNG.integers(0, cfg.num_classes, t_frames)
+    for pieces in LITERAL_PIECES:
+        params.zero_grads()
+        want = {p.name: np.zeros_like(p.value) for p in params.parameters()}
+        for i, (rows, window) in enumerate(pieces):
+            cache, _ = forward(params, cfg, x, rows=rows)
+            scale = 1.0 / (i + 1)
+            loss = backward(params, cfg, cache, labels, loss_scale=scale, grad_window=window)
+            assert loss == backward_literal(params, cfg, cache, labels, want, scale, window)
+        for p in params.parameters():
+            assert np.array_equal(p.grad, want[p.name]), (pieces, p.name)
+
+
 @pytest.mark.parametrize("direction", ["uni", "bi"])
 @pytest.mark.parametrize("rows", [(20, 25), (2, 5), (38, 40), (0, 40)])
 def test_trimmed_forward_caches_only_the_rows_that_reach_the_output(direction, rows):
@@ -1042,7 +1126,8 @@ def test_cut_checkpoint_loads_or_raises_value_error(tmp_path_factory, cut, at_li
 
 @pytest.mark.parametrize("damage", ["cut at a block end", "cut in the second block",
                                     "short row in the third block", "nan in the second block",
-                                    "blank row in the second block"])
+                                    "blank row in the second block", "short first row",
+                                    "short first row of the second block"])
 def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
     cfg = tiny_config(**MULTI_BLOCK)
     path = tmp_path / "model.ckpt"
@@ -1053,8 +1138,9 @@ def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
         lines = lines[: first + BLOCK]
     elif damage == "cut in the second block":
         lines = lines[: first + BLOCK + 5]
-    elif damage == "short row in the third block":
-        row = first + 2 * BLOCK + 3
+    elif damage.startswith("short"):
+        row = first + {"short row in the third block": 2 * BLOCK + 3, "short first row": 0,
+                       "short first row of the second block": BLOCK}[damage]
         lines[row] = lines[row].rsplit(" ", 1)[0] + "\n"
     elif damage == "blank row in the second block":
         lines[first + BLOCK + 7] = "\n"
@@ -1064,7 +1150,10 @@ def test_damage_in_a_later_row_block_names_the_parameter(tmp_path, damage):
         values[1] = "nan"
         lines[row] = " ".join(values) + "\n"
     path.write_text("".join(lines))
+    width = cfg.wide_dim
     cause = {"short row in the third block": f"row {2 * BLOCK + 3}: row has",
+             "short first row": f"row 0: row has {width - 1} columns, expected {width}",
+             "short first row of the second block": f"row {BLOCK}: row has {width - 1} columns",
              "nan in the second block": f"row {BLOCK + 7}: non-finite",
              "blank row in the second block": f"row {BLOCK + 7}: blank row"}.get(damage, "is truncated")
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'input_w' {cause}")):

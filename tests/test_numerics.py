@@ -77,6 +77,46 @@ def test_relu_and_backward():
     assert np.array_equal(g, [[0.0, 0.0, 5.0]])
 
 
+def test_relu_backward_equals_where_for_finite_gradients():
+    x = RNG.normal(size=(64, 33))
+    x[::5, ::3] = 0.0
+    g = RNG.normal(size=x.shape)
+    got = relu_backward(x, g)
+    # array_equal counts -0.0 equal to 0.0: only the sign of a zero may differ
+    assert np.array_equal(got, np.where(x > 0, g, 0.0))
+    assert not np.shares_memory(got, g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_relu_backward_keeps_a_non_finite_gradient_at_an_inactive_unit(bad):
+    x = np.array([[-1.0, 0.0, 2.0]])
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and numpy warns of it
+        g = relu_backward(x, np.array([[bad, bad, 5.0]]))
+    assert not np.isfinite(g[0, :2]).any()
+    assert g[0, 2] == 5.0
+
+
+def test_affine_backward_writes_into_the_buffer_and_can_skip_the_input_gradient():
+    x, w, g = RNG.normal(size=(9, 4)), RNG.normal(size=(4, 3)), RNG.normal(size=(9, 3))
+    gx, gw, gb = affine_backward(x, w, g)
+    out = np.full((4, 3), np.nan)
+    gx2, gw2, gb2 = affine_backward(x, w, g, grad_w_out=out, input_grad=False)
+    assert gx2 is None and gw2 is out
+    assert np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
+
+
+def test_parameter_hands_out_its_grad_buffer_only_while_it_is_zero():
+    p = Parameter(np.ones((2, 2)), "p")
+    buf = p.grad_to_overwrite()
+    assert buf is p.grad
+    assert p.grad_to_overwrite() is None
+    p.zero_grad()
+    p.accumulate(np.ones((2, 2)))
+    assert p.grad_to_overwrite() is None
+    p.zero_grad()
+    assert p.grad_to_overwrite() is p.grad
+
+
 def test_diag_scale_equals_diagonal_matmul():
     x = RNG.normal(size=(6, 4))
     d = RNG.normal(size=4)
