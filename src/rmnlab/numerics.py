@@ -164,12 +164,12 @@ def relu_backward(x, grad_out) -> np.ndarray:
     """Pass gradient where the pre-activation was strictly positive.
 
     The subgradient at exactly 0 is taken as 0. The gradient is masked by
-    multiplying it with `x > 0`, one pass that returns a fresh array: for a
-    finite gradient that equals `np.where(x > 0, grad_out, 0)` except that
-    an inactive unit keeps the sign of its gradient's zero (g * 0 = -0 for
-    negative g). A NaN or infinite gradient stays non-finite (NaN) at an
-    inactive unit instead of being zeroed, so a fault upstream is not
-    hidden by a dead unit.
+    multiplying it with `x > 0`, into a fresh array. For a finite gradient
+    that equals `np.where(x > 0, grad_out, 0)`, except that an inactive
+    unit keeps the sign of its gradient's zero (g * 0 = -0 for negative g).
+    A NaN or infinite gradient stays non-finite (NaN) at an inactive unit
+    instead of being zeroed, so a fault upstream is not hidden by a dead
+    unit.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
