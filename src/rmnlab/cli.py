@@ -182,6 +182,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _quiet_overflow():
+    """Silence numpy's floating-point warnings for a training run: a
+    diverging run overflows in its forward pass a step before `sgd_step`
+    raises the NumericError that reports it, in one line."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def cmd_train(args) -> int:
     settings, train_corpus, valid_corpus, train_config, (model_config,) = _load_experiment(args)
     model = Model(model_config, init_params(model_config, train_config.seed))
@@ -203,7 +210,8 @@ def cmd_train(args) -> int:
         )
         return False
 
-    fit(model, train_corpus, valid_corpus, train_config, on_epoch=on_epoch)
+    with _quiet_overflow():
+        fit(model, train_corpus, valid_corpus, train_config, on_epoch=on_epoch)
     save_checkpoint(model, os.path.join(out_dir, "final.ckpt"))
     print(f"training done; metrics in {metrics_path}")
     return 0
@@ -286,7 +294,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for model_config in model_configs:
         model = Model(model_config, init_params(model_config, train_config.seed))
-        stats = fit(model, train_corpus, valid_corpus, train_config)
+        with _quiet_overflow():
+            stats = fit(model, train_corpus, valid_corpus, train_config)
         best = min(s.valid_fer for s in stats)
         rows.append((model_config.num_memory_layers, best))
         print(f"layers={model_config.num_memory_layers} best_valid_fer={best:.4f}")

@@ -229,18 +229,32 @@ def read_archive(path) -> Corpus:
     return corpus
 
 
-def splice(features, left: int, right: int) -> np.ndarray:
+def splice(features, left: int, right: int, lengths=None) -> np.ndarray:
     """Concatenate a window of neighboring frames into each row.
 
     Row t becomes the concatenation of rows t-left .. t+right; positions
     beyond the utterance are filled by replicating the edge frame.
+    `lengths` makes `features` a stack of utterances of these frame counts,
+    one after another, and clips each row's window to its own utterance, so
+    the result is the per-utterance splices stacked. Either way it is one
+    gather.
     """
     if left < 0 or right < 0:
         raise ValueError("splice widths must be >= 0")
     x = np.asarray(features, dtype=np.float64)
     t_frames = x.shape[0]
-    # one gather: idx[t] lists the source rows of row t's window
-    idx = np.clip(np.arange(t_frames)[:, None] + np.arange(-left, right + 1), 0, t_frames - 1)
+    if lengths is None:  # one utterance
+        first, last = 0, t_frames - 1
+    else:  # each row's own utterance's first and last rows
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != t_frames:
+            raise ValueError(
+                f"utterance lengths {lengths.tolist()} do not stack to {t_frames} frames")
+        ends = np.cumsum(lengths)
+        first = np.repeat(ends - lengths, lengths)[:, None]
+        last = np.repeat(ends - 1, lengths)[:, None]
+    # idx[t] lists the source rows of row t's window
+    idx = np.clip(np.arange(t_frames)[:, None] + np.arange(-left, right + 1), first, last)
     return x[idx].reshape(t_frames, (left + 1 + right) * x.shape[1])
 
 

@@ -289,16 +289,15 @@ def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _stacked_rows(x: np.ndarray, k: int, starts: list[int]) -> np.ndarray:
-    """Row t of x's delayed tap: x[t - k] when row t - k belongs to the
-    same utterance as row t, else a zero row. x stacks utterances whose
-    second and later ones begin at the rows in `starts`; k != 0."""
-    out = _rows(x, -k, x.shape[0] - k)
+def _cut_edges(product: np.ndarray, d0: int, k: int, starts: list[int]) -> None:
+    """Zero the rows of a tap product, whose first row is row d0 of a stacked
+    group, that read row t - k of another utterance than row t's. The
+    group's second and later utterances begin at the rows in `starts`;
+    k != 0."""
     for s in starts:
         # the rows whose source lies across the edge at s: the k rows from s
         # for a past tap, the -k rows before s for a future one
-        out[max(0, min(s, s + k)) : max(s, s + k)] = 0.0
-    return out
+        product[max(0, min(s, s + k) - d0) : max(0, max(s, s + k) - d0)] = 0.0
 
 
 def _wiring(
@@ -332,11 +331,46 @@ def _apply_shared(tap: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
     return tap @ shared.value
 
 
-def model_input(config: RMNConfig, features: np.ndarray) -> np.ndarray:
-    """Splice raw features into the model's input layout when configured."""
+def _add_taps(pre: np.ndarray, taps, form: str, starts: list[int]) -> np.ndarray:
+    """Make a stacked group's pre-activations its relu input, in place: row
+    t gains shared(pre[t - k]) for each tap (shared, k) whose source row
+    t - k lies in row t's utterance (`_cut_edges`).
+
+    The diagonal form scales the source rows alone, as a view of pre. The
+    full form multiplies a zero-padded tap of every row, as a training pass
+    does: a product with fewer rows need not round each row the same. Each
+    product is added into its destination rows once every tap has read pre,
+    in tap order, so the sums equal those of zero-padded taps bit for bit
+    apart from the sign of exact zeros."""
+    t_frames = len(pre)
+    products = []
+    for shared, k in taps:
+        # destination rows [d0, d1): those whose source lies in pre, or all
+        d0, d1 = (max(0, k), min(t_frames, t_frames + k)) if form == "diagonal" else (0, t_frames)
+        if d0 < d1:
+            product = _apply_shared(_rows(pre, d0 - k, d1 - k), shared, form)
+            _cut_edges(product, d0, k, starts)
+            products.append((d0, d1, product))
+    for d0, d1, product in products:
+        pre[d0:d1] += product
+    return pre
+
+
+def _affine_relu(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
+    """relu(affine(x, w, b)), the relu made in the affine's fresh output."""
+    h = affine(x, w.value, b.value)
+    return relu(h, out=h)
+
+
+def model_input(config: RMNConfig, features: np.ndarray, lengths=None) -> np.ndarray:
+    """Splice raw features into the model's input layout when configured.
+
+    `lengths` stacks utterances of these frame counts, as `forward` takes
+    them in scoring mode; each row's splice window stays inside its own
+    utterance (`data.splice`)."""
     if config.splice_left == 0 and config.splice_right == 0:
         return np.asarray(features, dtype=np.float64)
-    return data_mod.splice(features, config.splice_left, config.splice_right)
+    return data_mod.splice(features, config.splice_left, config.splice_right, lengths)
 
 
 def _layer_spans(config: RMNConfig, lo: int, hi: int, t_frames: int) -> list[tuple[int, int]]:
@@ -457,6 +491,10 @@ def forward(
     counts, one after another, and every delayed tap reads only its own
     utterance's rows (zero outside them), so each utterance's logit rows
     are those of a pass over it alone. It takes neither `rows` nor `carry`.
+    Since no later stage reads a memory layer's pre-activation there, its
+    taps are added into it in place (`_add_taps`) and its relu and shortcut
+    add reuse that array; the logits equal those of zero-padded taps bit
+    for bit, bar the sign of exact zeros.
 
     Only the training call, with neither `carry` nor `lengths`, builds a
     cache. The inference modes keep no stage array for a backward pass: one
@@ -494,8 +532,8 @@ def forward(
         first, keep = [a for a, _ in spans], lambda name, g, new: new
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
-    input_post = relu(affine(x[first[0] : spans[0][1]], params.input_w.value, params.input_b.value))
-    outs = [keep("proj_post", 0, relu(affine(input_post, params.proj_w.value, params.proj_b.value)))]
+    input_post = _affine_relu(x[first[0] : spans[0][1]], params.input_w, params.input_b)
+    outs = [keep("proj_post", 0, _affine_relu(input_post, params.proj_w, params.proj_b))]
     input_post = input_post if training else None  # only backward reads it
 
     wiring = _wiring(params, config)
@@ -511,14 +549,20 @@ def forward(
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
         pre = keep(f"pre{l}", l, affine(outs[l][first[l] - a :], params.layer_w[l].value,
                                         params.layer_b[l].value))
-        z = pre[f - a : d - a]
-        for shared, k in taps:
-            tap = _stacked_rows(pre, k, starts) if scoring else _rows(pre, f - a - k, d - a - k)
-            z = z + _apply_shared(tap, shared, config.shared_weight_form)
-        out = relu(z)
-        if src is not None:
-            c = spans[src][0]
-            out = out + outs[src][f - c : d - c]
+        if scoring:  # every span is the whole group, and nothing else reads pre
+            z = _add_taps(pre, taps, config.shared_weight_form, starts)
+            out = relu(z, out=z)
+            if src is not None:
+                out += outs[src]
+        else:
+            z = pre[f - a : d - a]
+            for shared, k in taps:
+                tap = _rows(pre, f - a - k, d - a - k)
+                z = z + _apply_shared(tap, shared, config.shared_weight_form)
+            out = relu(z)
+            if src is not None:
+                c = spans[src][0]
+                out = out + outs[src][f - c : d - c]
         if training:
             layer_pre.append(pre)
             layer_sum.append(z)
@@ -529,7 +573,7 @@ def forward(
                     outs[j] = None
         outs.append(keep(f"out{l}", l + 1, out))
 
-    out1_post = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
+    out1_post = _affine_relu(outs[-1], params.out1_w, params.out1_b)
     if not training:
         outs = out = None
     logits = affine(out1_post, params.out2_w.value, params.out2_b.value)

@@ -33,6 +33,7 @@ __all__ = [
     "diag_scale_backward",
     "softmax_xent",
     "xent_loss",
+    "xent_terms",
     "grad_check",
 ]
 
@@ -156,8 +157,9 @@ def affine_backward(x, w, grad_out, *, grad_w_out=None, input_grad: bool = True)
     return grad_x, grad_w, grad_b
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu(x, out=None) -> np.ndarray:
+    """max(x, 0), into `out` when given (x itself for an in-place relu)."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
@@ -202,22 +204,46 @@ def diag_scale_backward(x, d_vec, grad_out):
     return g * d, (x * g).sum(axis=0)
 
 
-def _xent(logits, labels):
-    """The loss half of `softmax_xent`: (loss, shifted logits, log
-    normalisers, row indices, labels)."""
-    z = _as2d(logits, "logits")
-    y = np.asarray(labels)
-    t_frames, k = z.shape
-    if y.ndim != 1 or y.shape[0] != t_frames:
-        raise DimensionError(f"labels shape {y.shape} does not match {t_frames} frames")
+def _stacked_labels(labels, lengths, k: int) -> np.ndarray:
+    """The label vectors of utterances of `lengths` frames, one after another,
+    checked: each vector's shape against its utterance in turn
+    (DimensionError), then the range [0, k) once over them all
+    (LabelError). An error names the utterance's own frame."""
+    ys = [np.asarray(y) for y in labels]
+    for y, n in zip(ys, lengths):
+        if y.ndim != 1 or y.shape[0] != n:
+            raise DimensionError(f"labels shape {y.shape} does not match {n} frames")
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
     bad = np.nonzero((y < 0) | (y >= k))[0]
     if bad.size:
-        raise LabelError(f"label {int(y[bad[0]])} out of range [0, {k}) at frame {int(bad[0])}")
+        i = int(bad[0])
+        start = 0
+        for n in lengths:  # the frame within the utterance holding row i
+            if i < start + n:
+                break
+            start += n
+        raise LabelError(f"label {int(y[i])} out of range [0, {k}) at frame {i - start}")
+    return y
+
+
+def _xent(logits, labels, lengths=None):
+    """The loss half of `softmax_xent` over stacked utterances: (per-frame
+    losses, shifted logits, log normalisers, row indices, labels). `labels`
+    is one label vector, or with `lengths` one per utterance."""
+    z = _as2d(logits, "logits")
+    t_frames, k = z.shape
+    if lengths is None:
+        labels, lengths = [labels], [t_frames]
+    elif len(labels) != len(lengths) or sum(lengths) != t_frames:
+        raise DimensionError(
+            f"{len(labels)} label vectors for utterances of {list(lengths)} frames "
+            f"do not stack to {t_frames} frames"
+        )
+    y = _stacked_labels(labels, lengths, k)
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(t_frames)
-    loss = float(np.mean(log_norm - shifted[rows, y]))
-    return loss, shifted, log_norm, rows, y
+    return log_norm - shifted[rows, y], shifted, log_norm, rows, y
 
 
 def softmax_xent(logits, labels):
@@ -227,18 +253,28 @@ def softmax_xent(logits, labels):
     max-subtraction so huge logits cannot overflow. The returned gradient
     is (softmax - onehot) / T.
     """
-    loss, shifted, log_norm, rows, y = _xent(logits, labels)
+    terms, shifted, log_norm, rows, y = _xent(logits, labels)
     # the gradient is built in `shifted`, which `_xent` made for this call
     grad = np.exp(np.subtract(shifted, log_norm[:, None], out=shifted), out=shifted)
     grad[rows, y] -= 1.0
     grad /= rows.shape[0]
-    return loss, grad
+    return float(np.mean(terms)), grad
 
 
 def xent_loss(logits, labels) -> float:
     """The loss of `softmax_xent` alone, the same float, without making the
     gradient."""
-    return _xent(logits, labels)[0]
+    return float(np.mean(_xent(logits, labels)[0]))
+
+
+def xent_terms(logits, labels, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame cross-entropy terms of utterances stacked in `logits`, and
+    their stacked labels. `labels` holds one label vector per utterance, of
+    `lengths` frames each. The terms are computed row by row, so
+    `float(np.mean(...))` of an utterance's slice is the float `xent_loss`
+    gives for it alone."""
+    terms, *_, y = _xent(logits, labels, lengths)
+    return terms, y
 
 
 def grad_check(f, params, epsilon: float = 1e-5) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as data_mod
 from .model import Model, RMNConfig, backward, forward, model_input, streaming_forward
-from .numerics import NumericError, xent_loss
+from .numerics import NumericError, xent_terms
 
 __all__ = [
     "TrainConfig",
@@ -241,20 +241,25 @@ def _groups(utterances, max_rows: int):
 
 def _score(model: Model, groups, logits_of) -> tuple[float, float]:
     """Frame-weighted mean cross-entropy and frame error rate over groups of
-    utterances; `logits_of(xs)` gives the stacked logits of a group's model
-    inputs xs. Losses are summed per utterance, in corpus order."""
+    utterances; `logits_of(x, lengths)` gives the stacked logits of a
+    group's model input x, its utterances of `lengths` frames one after
+    another. Each group's features are spliced in one gather, and its loss
+    terms and argmax made in one pass; losses are summed per utterance, in
+    corpus order."""
     total_frames = 0
     ce_sum = 0.0
     errors = 0
     for group in groups:
-        logits = logits_of([model_input(model.config, utt.features) for utt in group])
+        lengths = [utt.num_frames for utt in group]
+        x = model_input(model.config, np.concatenate([utt.features for utt in group]), lengths)
+        logits = logits_of(x, lengths)
+        terms, labels = xent_terms(logits, [utt.labels for utt in group], lengths)
         start = 0
-        for utt in group:
-            own = logits[start : start + utt.num_frames]
-            start += utt.num_frames
-            ce_sum += xent_loss(own, utt.labels) * utt.num_frames
-            errors += int(np.sum(np.argmax(own, axis=1) != utt.labels))
-            total_frames += utt.num_frames
+        for n in lengths:
+            ce_sum += float(np.mean(terms[start : start + n])) * n
+            start += n
+        errors += int(np.count_nonzero(np.argmax(logits, axis=1) != labels))
+        total_frames += len(labels)
     if not total_frames:
         raise ValueError("corpus is empty")
     return ce_sum / total_frames, errors / total_frames
@@ -264,14 +269,16 @@ def evaluate(model: Model, corpus: data_mod.Corpus) -> tuple[float, float]:
     """Mean per-frame cross-entropy and frame error rate over a corpus.
 
     Consecutive utterances are scored together, up to `_GROUP_ROWS` rows
-    per `forward` call in scoring mode (`lengths`), which keeps no
-    training cache. Each utterance's logits are those of a forward over it
-    alone. Argmax ties break toward the lowest class index.
+    per group: one splice gather over the group's stacked features, one
+    `forward` call in scoring mode (`lengths`), which keeps no training
+    cache and adds the delayed taps in place, and one loss and argmax pass
+    over the stacked logits. Each utterance's logits, and so its loss, are
+    those of a forward over it alone. Argmax ties break toward the lowest
+    class index.
     """
     return _score(
         model, _groups(corpus.utterances, _GROUP_ROWS),
-        lambda xs: forward(model.params, model.config, np.concatenate(xs),
-                           lengths=[len(x) for x in xs]),
+        lambda x, lengths: forward(model.params, model.config, x, lengths=lengths),
     )
 
 
@@ -282,7 +289,7 @@ def evaluate_streaming(
     one utterance at a time."""
     return _score(
         model, ([utt] for utt in corpus.utterances),
-        lambda xs: streaming_forward(model.params, model.config, xs[0], chunk_size, lookahead),
+        lambda x, _: streaming_forward(model.params, model.config, x, chunk_size, lookahead),
     )
 
 
@@ -323,6 +330,9 @@ def fit(
     Stops at max_epochs or once the scheduled rate drops below
     base_lr / 64. `on_epoch(stats, model)` runs after every epoch; a truthy
     return requests an early stop. Fully deterministic for a given seed.
+    A diverging run raises NumericError: from `sgd_step` at a non-finite
+    update, or after an epoch whose training or validation loss is not
+    finite.
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")
@@ -347,6 +357,10 @@ def fit(
                 _train_step(model, train_corpus, step_pieces, lr, config)
         train_ce, train_fer = evaluate(model, train_corpus)
         valid_ce, valid_fer = evaluate(model, valid_corpus)
+        if not (math.isfinite(train_ce) and math.isfinite(valid_ce)):
+            raise NumericError(
+                f"non-finite loss after epoch {epoch} (train_ce={train_ce}, valid_ce={valid_ce})"
+            )
         stats = EpochStats(
             epoch=epoch,
             lr=lr,

@@ -505,6 +505,44 @@ def test_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, me
     assert said.err == f"error: {message or 'out of memory'}\n"
 
 
+def diverging_config(tmp_path, lr, **extra):
+    # the criterion-10 corpora and model at a rate far too large to train at
+    train, valid = tmp_path / "train.arc", tmp_path / "valid.arc"
+    write_archive(gen_delayed_recall(3, 1, 12, 8, seed=31), train)
+    write_archive(gen_delayed_recall(3, 1, 12, 4, seed=32), valid)
+    cfg = tmp_path / "exp.cfg"
+    lines = [f"train_archive = {train}", f"valid_archive = {valid}",
+             f"out_dir = {tmp_path / 'run'}", "num_memory_layers = 2", "wide_dim = 8",
+             "memory_dim = 4", "max_epochs = 3", "seed = 5", f"base_lr = {lr}", f"peak_lr = {lr}"]
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in extra.items()]) + "\n")
+    return cfg
+
+
+@pytest.mark.parametrize("argv", [["train"], ["sweep", "--layers", "2"]])
+def test_a_diverging_run_reports_one_numeric_failure_line(tmp_path, capsys, argv):
+    # the second step's forward pass overflows before the first epoch ends,
+    # a step before sgd_step meets the non-finite update it reports
+    cfg = diverging_config(tmp_path, "1e5", max_utts_per_batch=1)
+    capsys.readouterr()
+    assert run(argv[0], str(cfg), *argv[1:]) == 1
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert len(said.err.splitlines()) == 1
+    assert said.err.startswith("numeric failure: non-finite update for ")
+
+
+def test_a_non_finite_epoch_loss_is_a_numeric_failure(tmp_path, capsys):
+    # every update stays finite, but the third epoch's logits overflow and
+    # its losses are NaN: no row is written for it, and the run exits 1
+    cfg = diverging_config(tmp_path, "1e8")
+    capsys.readouterr()
+    assert run("train", str(cfg)) == 1
+    said = capsys.readouterr()
+    assert [line.split(":")[0] for line in said.out.splitlines()] == ["epoch 1", "epoch 2"]
+    assert said.err == "numeric failure: non-finite loss after epoch 3 (train_ce=nan, valid_ce=nan)\n"
+    assert len((tmp_path / "run" / "metrics.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("argv", [["train"], ["sweep", "--layers", "2,300000000"]])
 def test_a_model_too_large_for_memory_is_refused_before_it_is_built(tmp_path, capsys, argv):
     # building its 300 M layers would run for an hour before any MemoryError

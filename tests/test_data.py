@@ -239,6 +239,24 @@ def test_splice_writes_the_bytes_of_one_copy_per_offset(t_frames, left, right):
     assert out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [2, 1, 7, 1], [30, 1, 4], [6, 6, 0, 5]])
+@pytest.mark.parametrize("left, right", [(0, 0), (5, 0), (2, 3), (9, 9)])
+def test_stacked_splice_equals_the_splices_of_each_utterance(lengths, left, right):
+    # 1-frame utterances, windows wider than an utterance, left-only and
+    # two-sided windows, and the no-splice identity
+    feats = [RNG.normal(size=(n, 3)) for n in lengths]
+    want = np.concatenate([splice(f, left, right) for f in feats])
+    assert np.array_equal(splice(np.concatenate(feats), left, right, lengths), want)
+    assert np.array_equal(splice(np.concatenate(feats), left, right, [sum(lengths)]),
+                          splice(np.concatenate(feats), left, right))
+
+
+@pytest.mark.parametrize("lengths", [[2, 3], [], [7, -1], [[6]]])
+def test_splice_rejects_lengths_that_do_not_stack(lengths):
+    with pytest.raises(ValueError, match="do not stack"):
+        splice(np.zeros((6, 2)), 1, 1, lengths)
+
+
 # --- normalization -----------------------------------------------------------
 
 

@@ -38,7 +38,7 @@ from rmnlab.model import (
 )
 from rmnlab.model import _rows
 from rmnlab import model as model_mod
-from rmnlab.numerics import DimensionError, affine, softmax_xent
+from rmnlab.numerics import DimensionError, affine, relu, softmax_xent
 
 from reference_model import (grad_errors, named_grads, ref_backward, ref_forward, ref_grad_scale,
                              rel_max)
@@ -369,6 +369,55 @@ def test_backward_equals_the_literal_per_layer_formulation_bit_for_bit(variant, 
             assert loss == backward_literal(params, cfg, cache, labels, want, scale, window)
         for p in params.parameters():
             assert np.array_equal(p.grad, want[p.name]), (pieces, p.name)
+
+
+def stacked_rows_literal(x, k, starts):
+    """Row t of x's delayed tap: x[t - k] when row t - k belongs to the
+    same utterance as row t, else a zero row. x stacks utterances whose
+    second and later ones begin at the rows in `starts`; k != 0."""
+    out = _rows(x, -k, x.shape[0] - k)
+    for s in starts:
+        # the rows whose source lies across the edge at s: the k rows from s
+        # for a past tap, the -k rows before s for a future one
+        out[max(0, min(s, s + k)) : max(s, s + k)] = 0.0
+    return out
+
+
+def scoring_forward_literal(params, cfg, x, lengths):
+    """`forward(..., lengths=)` written out on whole arrays: a zero-padded
+    copy of every tap, the rows across an utterance edge zeroed in it, and
+    a fresh array for every stage."""
+    starts = list(itertools.accumulate(lengths[:-1]))
+    h = relu(affine(x, params.input_w.value, params.input_b.value))
+    outs = [relu(affine(h, params.proj_w.value, params.proj_b.value))]
+    for l, (taps, src) in enumerate(model_mod._wiring(params, cfg)):
+        pre = affine(outs[l], params.layer_w[l].value, params.layer_b[l].value)
+        z = pre
+        for shared, k in taps:
+            tap = stacked_rows_literal(pre, k, starts)
+            z = z + (tap * shared.value if cfg.shared_weight_form == "diagonal"
+                     else tap @ shared.value)
+        out = relu(z)
+        outs.append(out if src is None else out + outs[src])
+    h = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
+    return affine(h, params.out2_w.value, params.out2_b.value)
+
+
+# groups of 1-frame utterances, utterances shorter than the first layer's
+# delay of 4 and longer ones, the short ones first, last and in between
+SCORED_GROUPS = [[1, 3, 1, 30, 2, 9], [30, 1], [1], [2, 1, 1, 3], [12, 4]]
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+def test_scoring_forward_equals_the_padded_formulation_bit_for_bit(variant):
+    # the in-place taps leave the sign of an exact zero free, which
+    # np.array_equal does not see
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    params = ready_params(cfg)
+    for lengths in SCORED_GROUPS:
+        x = RNG.uniform(-2, 2, (sum(lengths), cfg.input_dim))
+        want = scoring_forward_literal(params, cfg, x, lengths)
+        assert np.array_equal(forward(params, cfg, x, lengths=lengths), want), lengths
 
 
 @pytest.mark.parametrize("direction", ["uni", "bi"])

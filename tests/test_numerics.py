@@ -17,6 +17,8 @@ from rmnlab.numerics import (
     relu,
     relu_backward,
     softmax_xent,
+    xent_loss,
+    xent_terms,
 )
 
 RNG = np.random.default_rng(42)
@@ -199,6 +201,34 @@ def test_softmax_xent_label_out_of_range():
         softmax_xent(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(LabelError):
         softmax_xent(np.zeros((2, 3)), np.array([-1, 0]))
+
+
+@pytest.mark.parametrize("lengths", [[1], [5, 1], [1, 1, 1], [40, 3, 1], [2, 300, 1]])
+def test_xent_terms_give_each_utterance_the_loss_of_xent_loss(lengths):
+    # each slice's mean is the float xent_loss gives the slice alone
+    logits = RNG.normal(size=(sum(lengths), 11)) * 30.0
+    labels = [RNG.integers(0, 11, size=n) for n in lengths]
+    terms, stacked = xent_terms(logits, labels, lengths)
+    assert np.array_equal(stacked, np.concatenate(labels))
+    start = 0
+    for n, y in zip(lengths, labels):
+        assert float(np.mean(terms[start : start + n])) == xent_loss(logits[start : start + n], y)
+        start += n
+
+
+def test_xent_terms_errors_name_the_utterance_and_its_own_frame():
+    logits = np.zeros((9, 3))
+    good = [np.zeros(2, dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.int64)]
+    bad = [y.copy() for y in good]
+    bad[1][3], bad[2][1] = 3, -1
+    with pytest.raises(LabelError, match=r"label 3 out of range \[0, 3\) at frame 3$"):
+        xent_terms(logits, bad, [2, 4, 3])
+    for labels in ([good[0], None, good[2]], [good[0], good[1][:3], good[2]]):
+        with pytest.raises(DimensionError, match="does not match 4 frames"):
+            xent_terms(logits, labels, [2, 4, 3])
+    for lengths in ([2, 4, 4], [2, 7]):
+        with pytest.raises(DimensionError, match="do not stack"):
+            xent_terms(logits, good, lengths)
 
 
 def test_parameter_accumulate_and_zero():

@@ -16,7 +16,7 @@ from rmnlab.model import (
     randomize_params,
     save_checkpoint,
 )
-from rmnlab.numerics import DimensionError, LabelError, NumericError, Parameter
+from rmnlab.numerics import DimensionError, LabelError, NumericError, Parameter, xent_loss
 from rmnlab.trainer import (
     METRICS_HEADER,
     BatchPiece,
@@ -492,6 +492,31 @@ def test_evaluate_is_frame_weighted():
             errors += int((np.argmax(logits, axis=1) != u.labels).sum())
         assert ce == pytest.approx(ce_sum / sum(lengths), rel=1e-12), variant
         assert fer == pytest.approx(errors / sum(lengths), rel=1e-12), variant
+
+
+@pytest.mark.parametrize("lengths", [[30, 5, 1], [1], [7, 1, 12, 1],
+                                     [trainer_mod._GROUP_ROWS - 1, 1, 3]])
+@pytest.mark.parametrize("variant", SCORED_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+def test_evaluate_equals_a_per_utterance_loss_loop_over_the_stacked_logits(variant, lengths):
+    # the loss terms and argmax of a group are made once over its stacked
+    # logits; the groups here end in a 1-frame utterance
+    model = small_model(**variant)
+    rng = np.random.default_rng(5)
+    utts = [Utterance(f"u{n}", rng.normal(size=(t, 4)), rng.integers(0, 3, t))
+            for n, t in enumerate(lengths)]
+    ce_sum, errors = 0.0, 0
+    for group in trainer_mod._groups(utts, trainer_mod._GROUP_ROWS):
+        x = np.concatenate([model_input(model.config, u.features) for u in group])
+        logits = forward(model.params, model.config, x, lengths=[u.num_frames for u in group])
+        start = 0
+        for u in group:
+            own = logits[start : start + u.num_frames]
+            start += u.num_frames
+            ce_sum += xent_loss(own, u.labels) * u.num_frames
+            errors += int(np.sum(np.argmax(own, axis=1) != u.labels))
+    ce, fer = evaluate(model, Corpus(utts, feature_dim=4, num_classes=3))
+    assert ce == ce_sum / sum(lengths)
+    assert fer == errors / sum(lengths)
 
 
 @pytest.mark.parametrize("position", [0, 2, 4])
