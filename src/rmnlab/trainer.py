@@ -251,8 +251,8 @@ def _score(model: Model, groups, logits_of) -> tuple[float, float]:
     errors = 0
     for group in groups:
         lengths = [utt.num_frames for utt in group]
-        x = model_input(model.config, np.concatenate([utt.features for utt in group]), lengths)
-        logits = logits_of(x, lengths)
+        features = np.concatenate([utt.features for utt in group])
+        logits = logits_of(model_input(model.config, features, lengths), lengths)
         terms, labels = xent_terms(logits, [utt.labels for utt in group], lengths)
         start = 0
         for n in lengths:
