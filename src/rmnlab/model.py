@@ -29,7 +29,6 @@ from .numerics import (
     affine,
     affine_backward,
     diag_scale,
-    diag_scale_backward,
     grad_check,
     relu,
     relu_backward,
@@ -260,8 +259,10 @@ class ForwardCache:
     weight gradients of the affine after them and serve as their blocks'
     relu masks (relu(p) is positive exactly where p is). `layer_pre` holds
     each layer's own affine output (the tap source), `layer_sum` the relu
-    input after the delayed terms (the layer's mask), `layer_out` the value
-    after any shortcut.
+    input after the delayed taps (the layer's mask), `layer_out` the value
+    after any shortcut. The taps enter `layer_sum` by the tap rule of
+    `_add_taps` (products first, then adds in tap order; diagonal on views,
+    full zero-padded; only the sign of an exact zero may differ).
     """
 
     x: np.ndarray
@@ -325,35 +326,35 @@ def _wiring(
     ]
 
 
-def _apply_shared(tap: np.ndarray, shared: Parameter, form: str) -> np.ndarray:
-    if form == "diagonal":
-        return diag_scale(tap, shared.value)
-    return tap @ shared.value
+def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, form: str, starts: list[int]) -> None:
+    """Add the delayed taps into z in place. z holds rows z0.. of pre's
+    numbering; row t gains shared(pre[t - k]) for each tap (shared, k) whose
+    source row lies in pre and, across the edges in `starts`, in row t's
+    utterance (`_cut_edges`). A vector `shared` scales columns (diagonal
+    form), a matrix multiplies rows (full form).
 
-
-def _add_taps(pre: np.ndarray, taps, form: str, starts: list[int]) -> np.ndarray:
-    """Make a stacked group's pre-activations its relu input, in place: row
-    t gains shared(pre[t - k]) for each tap (shared, k) whose source row
-    t - k lies in row t's utterance (`_cut_edges`).
-
-    The diagonal form scales the source rows alone, as a view of pre. The
-    full form multiplies a zero-padded tap of every row, as a training pass
-    does: a product with fewer rows need not round each row the same. Each
-    product is added into its destination rows once every tap has read pre,
-    in tap order, so the sums equal those of zero-padded taps bit for bit
-    apart from the sign of exact zeros."""
-    t_frames = len(pre)
+    The tap rule of every pass: products first, then adds in tap order; the
+    diagonal form scales views of the source rows, the full form a
+    zero-padded tap of every z row (a product of fewer rows need not round
+    each row the same); a tap with no source row in pre adds nothing. Sums
+    equal those of zero-padded taps bit for bit; only the sign of an exact
+    zero may differ."""
+    z1 = z0 + len(z)
     products = []
     for shared, k in taps:
-        # destination rows [d0, d1): those whose source lies in pre, or all
-        d0, d1 = (max(0, k), min(t_frames, t_frames + k)) if form == "diagonal" else (0, t_frames)
-        if d0 < d1:
-            product = _apply_shared(_rows(pre, d0 - k, d1 - k), shared, form)
-            _cut_edges(product, d0, k, starts)
-            products.append((d0, d1, product))
+        # destination rows [d0, d1) of pre's numbering: those whose source lies in pre
+        d0, d1 = max(z0, k), min(z1, len(pre) + k)
+        if d0 >= d1:
+            continue
+        if form == "diagonal":
+            product = diag_scale(pre[d0 - k : d1 - k], shared)
+        else:  # every z row
+            d0, d1 = z0, z1
+            product = _rows(pre, d0 - k, d1 - k) @ shared
+        _cut_edges(product, d0, k, starts)
+        products.append((d0, d1, product))
     for d0, d1, product in products:
-        pre[d0:d1] += product
-    return pre
+        z[d0 - z0 : d1 - z0] += product
 
 
 def _affine_relu(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
@@ -455,6 +456,22 @@ class Carry:
         return buf[a:b]
 
 
+def _checked_input(config: RMNConfig, x) -> np.ndarray:
+    """x as a float (frames, features) matrix of at least one frame and the
+    model's input width, the one input check of `forward` and
+    `streaming_forward`; a wrong rank or width names the shape given."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise InputError(f"input must be a (frames, features) matrix, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise InputError("empty sequence: utterance has 0 frames")
+    if x.shape[1] != config.input_dim:
+        raise DimensionError(
+            f"input of shape {x.shape} has {x.shape[1]} features, model expects {config.input_dim}"
+        )
+    return x
+
+
 def forward(
     params: ModelParams,
     config: RMNConfig,
@@ -491,10 +508,13 @@ def forward(
     counts, one after another, and every delayed tap reads only its own
     utterance's rows (zero outside them), so each utterance's logit rows
     are those of a pass over it alone. It takes neither `rows` nor `carry`.
-    Since no later stage reads a memory layer's pre-activation there, its
-    taps are added into it in place (`_add_taps`) and its relu and shortcut
-    add reuse that array; the logits equal those of zero-padded taps bit
-    for bit, bar the sign of exact zeros.
+
+    Every mode runs one memory-layer body: a layer's relu input z is a copy
+    of its pre-activation rows (in scoring, where nothing later reads them,
+    the array itself), its taps are added into z by the tap rule of
+    `_add_taps` (products first, then adds in tap order; diagonal on views,
+    full zero-padded; only the sign of an exact zero may differ), and the
+    relu, in z but in training (which caches z), and the shortcut add follow.
 
     Only the training call, with neither `carry` nor `lengths`, builds a
     cache. The inference modes keep no stage array for a backward pass: one
@@ -504,16 +524,9 @@ def forward(
     if scoring and (rows is not None or carry is not None):
         raise ValueError("stacked utterance lengths cannot be combined with rows or carry")
     training = not scoring and carry is None
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"input must be a (frames, features) matrix, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise InputError("empty sequence: utterance has 0 frames")
-    if x.shape[1] != config.input_dim:
-        raise DimensionError(
-            f"input has {x.shape[1]} features, model expects {config.input_dim}"
-        )
+    x = _checked_input(config, x)
     t_frames = x.shape[0]
+    starts = []
     if scoring:
         lengths = [int(n) for n in lengths]
         if 0 in lengths:
@@ -549,20 +562,14 @@ def forward(
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
         pre = keep(f"pre{l}", l, affine(outs[l][first[l] - a :], params.layer_w[l].value,
                                         params.layer_b[l].value))
-        if scoring:  # every span is the whole group, and nothing else reads pre
-            z = _add_taps(pre, taps, config.shared_weight_form, starts)
-            out = relu(z, out=z)
-            if src is not None:
-                out += outs[src]
-        else:
-            z = pre[f - a : d - a]
-            for shared, k in taps:
-                tap = _rows(pre, f - a - k, d - a - k)
-                z = z + _apply_shared(tap, shared, config.shared_weight_form)
-            out = relu(z)
-            if src is not None:
-                c = spans[src][0]
-                out = out + outs[src][f - c : d - c]
+        # in scoring every span is the whole group, and nothing else reads pre
+        z = pre if scoring else pre[f - a : d - a].copy()
+        _add_taps(z, pre, f - a, [(shared.value, k) for shared, k in taps],
+                  config.shared_weight_form, starts)
+        out = relu(z) if training else relu(z, out=z)
+        if src is not None:
+            c = spans[src][0]
+            out += outs[src][f - c : d - c]
         if training:
             layer_pre.append(pre)
             layer_sum.append(z)
@@ -617,19 +624,18 @@ def backward(
     diagonal scale runs on the window rows only; the delayed taps read
     their `pre[t -/+ m]` values from the cache outside the window.
 
-    Only the products are computed. A memory layer's relu gradient is a
-    fresh array (its incoming gradient may also be a shortcut's), and each
-    tap's adjoint is added into it in place, through views, once every tap
-    has read it; a tap whose delay spans the window adds nothing. The
-    diagonal form reads its taps as views of the cached pre-activations;
-    the full form keeps a zero-padded tap for its weight product, since a
-    shorter GEMM inner dimension rounds differently. No copy of the relu
-    gradient, no zero-padded copy of a tap adjoint and no gradient at the
-    input features is built, and a weight's first product after
-    `zero_grad` is written straight into its grad buffer. Gradients equal
-    those of the padded formulation bit for bit apart from the sign of
-    exact zeros; a non-finite gradient reaching a relu stays non-finite
-    (`relu_backward`).
+    Only the products are computed. A memory layer's relu gradient g is a
+    fresh array (its incoming gradient may also be a shortcut's). Once the
+    shared transforms' weight gradients have read g, the adjoint of each
+    tap (S, k), the tap (S^T, -k) on g's rows, is added into g by the tap
+    rule of `_add_taps` (products first, then adds in tap order; diagonal
+    on views, full zero-padded; only the sign of an exact zero may differ).
+    The full form's weight product multiplies the zero-padded tap, `tap.T
+    @ g`, since a GEMM with a shorter inner dimension rounds differently.
+    No copy of the relu gradient and no gradient at the input features is
+    built, and a weight's first product after `zero_grad` is written
+    straight into its grad buffer. A non-finite gradient reaching a relu
+    stays non-finite (`relu_backward`).
     """
     if cache.params_ref is not params:
         raise ConsistencyError("cache was produced by a different ModelParams instance")
@@ -666,29 +672,20 @@ def backward(
             g_outs[src] = g_out
         a, pre = spans[l][0], cache.layer_pre[l]
         g_sum = relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
-        adjoints = []
         for shared, k in taps:
-            # z rows [t0, t1) read a tap row t - k inside pre, the others zeros;
-            # the window's pre rows [s0, s1) take the adjoint of z rows s + k,
-            # all of which lie in [t0, t1)
+            # window rows [t0, t1) read a tap row t - k inside pre, the others zeros
             t0, t1 = max(lo, a + k), min(hi, a + len(pre) + k)
-            s0, s1 = max(lo, lo - k), min(hi, hi - k)
             if t0 >= t1:
                 continue
             if config.shared_weight_form == "diagonal":
-                g_tap, g_shared = diag_scale_backward(
-                    pre[t0 - a - k : t1 - a - k], shared.value, g_sum[t0 - lo : t1 - lo])
-                shared.accumulate(g_shared)
+                shared.accumulate(
+                    (pre[t0 - a - k : t1 - a - k] * g_sum[t0 - lo : t1 - lo]).sum(axis=0))
             else:
                 _add_product(shared, _rows(pre, lo - a - k, hi - a - k).T, g_sum)
-                # every window row, as the padded product had them: a row of a
-                # product with fewer rows need not round the same
-                t0, g_tap = lo, g_sum @ shared.value.T if s0 < s1 else None
-            if s0 < s1:
-                adjoints.append((s0, s1, g_tap[s0 + k - t0 : s1 + k - t0]))
-        # added once every tap has read g_sum, in tap order
-        for s0, s1, g_tap in adjoints:
-            g_sum[s0 - lo : s1 - lo] += g_tap
+        # the adjoint of z[t] += S pre[t - k] is g[s] += S^T g[s + k] on the
+        # window's rows (.T leaves a diagonal form's vector as it is)
+        _add_taps(g_sum, g_sum, 0, [(shared.value.T, -k) for shared, k in taps],
+                  config.shared_weight_form, [])
         g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum)
         if l in g_outs:
             g_below += g_outs[l]
@@ -858,10 +855,8 @@ def streaming_forward(
         raise ValueError("chunk_size must be >= 1")
     if lookahead < 0:
         raise ValueError("lookahead must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_input(config, x)
     t_frames = x.shape[0]
-    if t_frames == 0:
-        raise InputError("empty sequence: utterance has 0 frames")
     out = np.zeros((t_frames, config.num_classes))
     carry = Carry(t_frames)
     for start in range(0, t_frames, chunk_size):

@@ -339,27 +339,38 @@ def backward_literal(params, cfg, cache, labels, grads, loss_scale=1.0, grad_win
     return loss
 
 
-# forward rows and the grad windows inside them, summed as one training step
-# sums its pieces: both utterance edges, 1-row windows, and windows shorter
-# than the first layer's delay of 4
-LITERAL_PIECES = [
-    [((0, 30), None)],
-    [((0, 3), None), ((27, 30), None), ((15, 16), None)],
-    [((0, 1), None), ((29, 30), None)],
-    [((5, 25), (8, 10)), ((2, 28), (2, 28)), ((0, 12), (11, 12))],
-]
+def literal_pieces(t_frames):
+    """Forward rows and the grad windows inside them, summed as one training
+    step sums its pieces: both utterance edges, 1-row windows, and windows
+    shorter than the first layer's delay of 4."""
+    t = t_frames
+    return [
+        [((0, t), None)],
+        [((0, 3), None), ((t - 3, t), None), ((15, 16), None)],
+        [((0, 1), None), ((t - 1, t), None)],
+        [((5, 25), (8, 10)), ((2, t - 2), (2, t - 2)), ((0, 12), (11, 12))],
+    ]
+
+
+# the full form at widths where OpenBLAS runs its blocked GEMM kernels: the
+# tap adjoint multiplies shifted, zero-padded rows, the literal shifts after
+# the product
+BLOCKED_VARIANTS = [dict(direction=d, shared_weight_form="full", memory_dim=64, wide_dim=96,
+                         frames=40) for d in ("uni", "bi")]
 
 
 @pytest.mark.parametrize("splice", [0, 1])
-@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+@pytest.mark.parametrize("variant", TRIM_VARIANTS + BLOCKED_VARIANTS,
+                         ids=lambda v: "-".join(map(str, v.values())))
 def test_backward_equals_the_literal_per_layer_formulation_bit_for_bit(variant, splice):
-    raw_dim, t_frames = 2, 30
+    variant = dict(variant)
+    raw_dim, t_frames = 2, variant.pop("frames", 30)
     cfg = tiny_config(num_memory_layers=4, input_dim=raw_dim * (2 * splice + 1),
                       splice_left=splice, splice_right=splice, **variant)
     params = ready_params(cfg)
     x = model_input(cfg, RNG.uniform(-2, 2, (t_frames, raw_dim)))
     labels = RNG.integers(0, cfg.num_classes, t_frames)
-    for pieces in LITERAL_PIECES:
+    for pieces in literal_pieces(t_frames):
         params.zero_grads()
         want = {p.name: np.zeros_like(p.value) for p in params.parameters()}
         for i, (rows, window) in enumerate(pieces):
@@ -386,10 +397,12 @@ def stacked_rows_literal(x, k, starts):
 def scoring_forward_literal(params, cfg, x, lengths):
     """`forward(..., lengths=)` written out on whole arrays: a zero-padded
     copy of every tap, the rows across an utterance edge zeroed in it, and
-    a fresh array for every stage."""
+    a fresh array for every stage. Returns the logits, each memory layer's
+    relu input and each one's output after any shortcut."""
     starts = list(itertools.accumulate(lengths[:-1]))
     h = relu(affine(x, params.input_w.value, params.input_b.value))
     outs = [relu(affine(h, params.proj_w.value, params.proj_b.value))]
+    sums = []
     for l, (taps, src) in enumerate(model_mod._wiring(params, cfg)):
         pre = affine(outs[l], params.layer_w[l].value, params.layer_b[l].value)
         z = pre
@@ -397,10 +410,11 @@ def scoring_forward_literal(params, cfg, x, lengths):
             tap = stacked_rows_literal(pre, k, starts)
             z = z + (tap * shared.value if cfg.shared_weight_form == "diagonal"
                      else tap @ shared.value)
+        sums.append(z)
         out = relu(z)
         outs.append(out if src is None else out + outs[src])
     h = relu(affine(outs[-1], params.out1_w.value, params.out1_b.value))
-    return affine(h, params.out2_w.value, params.out2_b.value)
+    return affine(h, params.out2_w.value, params.out2_b.value), sums, outs[1:]
 
 
 # groups of 1-frame utterances, utterances shorter than the first layer's
@@ -416,8 +430,18 @@ def test_scoring_forward_equals_the_padded_formulation_bit_for_bit(variant):
     params = ready_params(cfg)
     for lengths in SCORED_GROUPS:
         x = RNG.uniform(-2, 2, (sum(lengths), cfg.input_dim))
-        want = scoring_forward_literal(params, cfg, x, lengths)
+        want, sums, outs = scoring_forward_literal(params, cfg, x, lengths)
         assert np.array_equal(forward(params, cfg, x, lengths=lengths), want), lengths
+    # on one utterance, training and a one-chunk stream (the carry path) run
+    # the same memory-layer body as scoring
+    for t_frames in (1, 3, 30):
+        x = RNG.uniform(-2, 2, (t_frames, cfg.input_dim))
+        want, sums, outs = scoring_forward_literal(params, cfg, x, [t_frames])
+        cache, logits = forward(params, cfg, x)
+        assert np.array_equal(logits, want), t_frames
+        for got, literal in zip(cache.layer_sum + cache.layer_out, sums + outs, strict=True):
+            assert np.array_equal(got, literal), t_frames
+        assert np.array_equal(streaming_forward(params, cfg, x, t_frames, 0), want), t_frames
 
 
 @pytest.mark.parametrize("direction", ["uni", "bi"])
@@ -921,6 +945,12 @@ def test_streaming_rejects_bad_arguments():
         streaming_forward(params, cfg, x, chunk_size=0, lookahead=1)
     with pytest.raises(ValueError):
         streaming_forward(params, cfg, x, chunk_size=4, lookahead=-1)
+    # the input check of forward, naming the input's shape, not a window's
+    for bad, error in ((np.float64(5.0), InputError), (np.zeros(3), InputError),
+                       (np.zeros((2, 4, cfg.input_dim)), InputError),
+                       (np.zeros((4, cfg.input_dim + 1)), DimensionError)):
+        with pytest.raises(error, match=re.escape(str(np.shape(bad)))):
+            streaming_forward(params, cfg, bad, 2, 0)
 
 
 # --- differential fuzzing -------------------------------------------------------
