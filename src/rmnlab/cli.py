@@ -8,6 +8,7 @@ Every command is deterministic given its seed. Exit codes are uniform:
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from dataclasses import MISSING, fields, replace
@@ -63,15 +64,16 @@ def load_experiment_config(
 ) -> dict:
     """Read a `key = value` file, apply command-line overrides, type-check.
 
-    The file must be UTF-8 text. Lines may carry `#` comments; unknown
-    keys are rejected and all required keys must be present before any work
-    starts, except the keys in `supplied`, which the caller sets itself and
-    which are left out of the result when absent.
+    The file must be UTF-8 text; a leading byte-order mark is skipped. Lines
+    may carry `#` comments; unknown keys are rejected and all required keys
+    must be present before any work starts, except the keys in `supplied`,
+    which the caller sets itself and which are left out of the result when
+    absent.
     """
     raw: dict[str, str] = {}
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from None
     for line_no, line in enumerate(lines, start=1):

@@ -7,6 +7,7 @@ information across time, not by learning a feature representation.
 
 from __future__ import annotations
 
+import codecs
 import io
 from dataclasses import dataclass, field
 
@@ -152,15 +153,16 @@ def write_archive(corpus: Corpus, path) -> None:
 def read_archive(path) -> Corpus:
     """Parse a text matrix archive back into a Corpus. Round-trips exactly.
 
-    Any malformed content raises ParseError naming the line: text that is
-    not UTF-8, a bad header, a non-numeric, non-finite or ragged feature
+    A leading UTF-8 byte-order mark is skipped. Any malformed content raises
+    ParseError naming the line: text that is not UTF-8, a bad header (a
+    negative class count too), a non-numeric, non-finite or ragged feature
     row, or a bad labels line. A corpus that breaks `Corpus.validate`
     raises FormatError.
     """
     utts: dict[str, Utterance] = {}
     num_classes = 0
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -204,6 +206,8 @@ def read_archive(path) -> Corpus:
             k = int(tokens[2])
         except ValueError:
             raise ParseError(f"line {line_no}: class count {tokens[2]!r} is not an integer") from None
+        if k < 0:
+            raise ParseError(f"line {line_no}: negative class count in header {line.rstrip()!r}")
         num_classes = max(num_classes, k)
 
         # the row lines up to a closing "]" set off by whitespace
@@ -242,6 +246,8 @@ def splice(features, left: int, right: int, lengths=None) -> np.ndarray:
     if left < 0 or right < 0:
         raise ValueError("splice widths must be >= 0")
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"splice needs a (frames, features) matrix, got shape {x.shape}")
     t_frames = x.shape[0]
     if lengths is None:  # one utterance
         first, last = 0, t_frames - 1

@@ -260,9 +260,8 @@ class ForwardCache:
     relu masks (relu(p) is positive exactly where p is). `layer_pre` holds
     each layer's own affine output (the tap source), `layer_sum` the relu
     input after the delayed taps (the layer's mask), `layer_out` the value
-    after any shortcut. The taps enter `layer_sum` by the tap rule of
-    `_add_taps` (products first, then adds in tap order; diagonal on views,
-    full zero-padded; only the sign of an exact zero may differ).
+    after any shortcut. The taps enter `layer_sum` by the tap rule
+    (`_add_taps`).
     """
 
     x: np.ndarray
@@ -326,35 +325,42 @@ def _wiring(
     ]
 
 
-def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, form: str, starts: list[int]) -> None:
+def _tap_source(pre: np.ndarray, k: int, shared: np.ndarray, r0: int, r1: int):
+    """(i0, i1, tap): the sources pre[t - k] of rows r0 + i0 .. r0 + i1 - 1
+    of pre's numbering for the tap (shared, k), or None when no source row
+    of rows [r0, r1) lies in pre. A vector `shared` (diagonal form) gets the
+    rows whose source lies in pre, as a view; a matrix (full form) every
+    row, zero-padded."""
+    d0, d1 = max(r0, k), min(r1, len(pre) + k)
+    if d0 >= d1:
+        return None
+    if shared.ndim == 1:
+        return d0 - r0, d1 - r0, pre[d0 - k : d1 - k]
+    return 0, r1 - r0, _rows(pre, r0 - k, r1 - k)
+
+
+def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int]) -> None:
     """Add the delayed taps into z in place. z holds rows z0.. of pre's
     numbering; row t gains shared(pre[t - k]) for each tap (shared, k) whose
     source row lies in pre and, across the edges in `starts`, in row t's
-    utterance (`_cut_edges`). A vector `shared` scales columns (diagonal
-    form), a matrix multiplies rows (full form).
+    utterance (`_cut_edges`). A vector `shared` scales columns, a matrix
+    multiplies rows.
 
     The tap rule of every pass: products first, then adds in tap order; the
-    diagonal form scales views of the source rows, the full form a
-    zero-padded tap of every z row (a product of fewer rows need not round
-    each row the same); a tap with no source row in pre adds nothing. Sums
-    equal those of zero-padded taps bit for bit; only the sign of an exact
-    zero may differ."""
-    z1 = z0 + len(z)
+    sources come from `_tap_source`, views for the diagonal form and a
+    zero-padded tap of every z row for the full form (a product of fewer
+    rows need not round each row the same). Sums equal those of zero-padded
+    taps bit for bit; only the sign of an exact zero may differ."""
     products = []
     for shared, k in taps:
-        # destination rows [d0, d1) of pre's numbering: those whose source lies in pre
-        d0, d1 = max(z0, k), min(z1, len(pre) + k)
-        if d0 >= d1:
-            continue
-        if form == "diagonal":
-            product = diag_scale(pre[d0 - k : d1 - k], shared)
-        else:  # every z row
-            d0, d1 = z0, z1
-            product = _rows(pre, d0 - k, d1 - k) @ shared
-        _cut_edges(product, d0, k, starts)
-        products.append((d0, d1, product))
-    for d0, d1, product in products:
-        z[d0 - z0 : d1 - z0] += product
+        source = _tap_source(pre, k, shared, z0, z0 + len(z))
+        if source is not None:
+            i0, i1, tap = source
+            product = diag_scale(tap, shared) if shared.ndim == 1 else tap @ shared
+            _cut_edges(product, z0 + i0, k, starts)
+            products.append((i0, i1, product))
+    for i0, i1, product in products:
+        z[i0:i1] += product
 
 
 def _affine_relu(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
@@ -374,25 +380,24 @@ def model_input(config: RMNConfig, features: np.ndarray, lengths=None) -> np.nda
     return data_mod.splice(features, config.splice_left, config.splice_right, lengths)
 
 
-def _layer_spans(config: RMNConfig, lo: int, hi: int, t_frames: int) -> list[tuple[int, int]]:
-    """Rows each stage computes so that rows [lo, hi) of the logits are exact.
+def _reach(config: RMNConfig) -> list[tuple[int, int]]:
+    """(past, future) reach of each span entry g = 0..L (see `_layer_spans`):
+    P_g, the sum of the delays of memory layers g..L-1, and F_g, the same sum
+    for bidirectional models and 0 for unidirectional ones. Entry 0 is the
+    whole stack's reach, entry L (0, 0)."""
+    delays = delay_schedule(config) or [0] * config.num_memory_layers
+    past = list(itertools.accumulate(reversed(delays), initial=0))[::-1]
+    return [(p, p if config.direction == "bi" else 0) for p in past]
 
-    Entry l < L is memory layer l's pre-activation range [lo - P_l,
-    hi + F_l) clipped to the t_frames input, where P_l is the sum of the
-    delays of layers l..L-1 and F_l the same sum for bidirectional models
-    (0 for unidirectional ones); the input and projection blocks share
-    entry 0. Entry L is [lo, hi) itself: the output blocks' rows, and the
-    rows of the last layer's output. A row outside a layer's range is
-    never read on the way to an emitted row.
-    """
-    reach = delay_schedule(config) or [0] * config.num_memory_layers
-    spans = [(lo, hi)]
-    past = 0
-    for m in reversed(reach):
-        past += m
-        future = past if config.direction == "bi" else 0
-        spans.append((max(0, lo - past), min(t_frames, hi + future)))
-    return spans[::-1]
+
+def _layer_spans(config: RMNConfig, lo: int, hi: int, t_frames: int) -> list[tuple[int, int]]:
+    """Rows each stage computes so that rows [lo, hi) of the logits are exact:
+    entry g is [lo - P_g, hi + F_g) clipped to the t_frames input, with the
+    reach (P_g, F_g) of `_reach`. Entry l < L is memory layer l's
+    pre-activation range (the input and projection blocks share entry 0),
+    entry L the output blocks' rows and the last layer's output. A row
+    outside a layer's range is never read on the way to an emitted row."""
+    return [(max(0, lo - p), min(t_frames, hi + f)) for p, f in _reach(config)]
 
 
 class Carry:
@@ -407,9 +412,9 @@ class Carry:
     buffers in all. A row of a stage is *final* when a later window, which
     reaches at least as far right, cannot change it: the row plus the
     stage's future reach lies inside the window, or the window ends where
-    the utterance ends. The future reach of span entry g (see
-    `_layer_spans`) is the sum of the delays of the layers below it for
-    bidirectional models and 0 for unidirectional ones. The next window
+    the utterance ends. The future reach below span entry g is F_0 - F_g
+    (`_reach`): the sum of the delays of the layers below it for
+    bidirectional models, 0 for unidirectional ones. The next window
     reads the final rows it needs from the buffers and recomputes the rest.
 
     Neither the first requested row nor the window's end may lie before the
@@ -436,11 +441,9 @@ class Carry:
             )
         done = self._final or [0] * len(spans)
         first = [min(max(a, done[g]), b) for g, (a, b) in enumerate(spans)]
-        future = delay_schedule(config) if config.direction == "bi" else []
-        final = []
-        for g, (a, b) in enumerate(spans):
-            last = b if width == self.t_frames else min(b, width - sum(future[:g]))
-            final.append(max(first[g], last))
+        reach = _reach(config)  # the future reach below entry g is F_0 - F_g
+        final = [max(d, b if width == self.t_frames else min(b, width - reach[0][1] + f))
+                 for d, (_, b), (_, f) in zip(first, spans, reach)]
         self._final, self._last = final, (lo, width)
         self._spans, self._first = spans, first
         return first
@@ -511,10 +514,9 @@ def forward(
 
     Every mode runs one memory-layer body: a layer's relu input z is a copy
     of its pre-activation rows (in scoring, where nothing later reads them,
-    the array itself), its taps are added into z by the tap rule of
-    `_add_taps` (products first, then adds in tap order; diagonal on views,
-    full zero-padded; only the sign of an exact zero may differ), and the
-    relu, in z but in training (which caches z), and the shortcut add follow.
+    the array itself), its taps are added into z by the tap rule
+    (`_add_taps`), and the relu, in z but in training (which caches z), and
+    the shortcut add follow.
 
     Only the training call, with neither `carry` nor `lengths`, builds a
     cache. The inference modes keep no stage array for a backward pass: one
@@ -564,8 +566,7 @@ def forward(
                                         params.layer_b[l].value))
         # in scoring every span is the whole group, and nothing else reads pre
         z = pre if scoring else pre[f - a : d - a].copy()
-        _add_taps(z, pre, f - a, [(shared.value, k) for shared, k in taps],
-                  config.shared_weight_form, starts)
+        _add_taps(z, pre, f - a, [(shared.value, k) for shared, k in taps], starts)
         out = relu(z) if training else relu(z, out=z)
         if src is not None:
             c = spans[src][0]
@@ -628,10 +629,10 @@ def backward(
     fresh array (its incoming gradient may also be a shortcut's). Once the
     shared transforms' weight gradients have read g, the adjoint of each
     tap (S, k), the tap (S^T, -k) on g's rows, is added into g by the tap
-    rule of `_add_taps` (products first, then adds in tap order; diagonal
-    on views, full zero-padded; only the sign of an exact zero may differ).
-    The full form's weight product multiplies the zero-padded tap, `tap.T
-    @ g`, since a GEMM with a shorter inner dimension rounds differently.
+    rule (`_add_taps`). The weight gradients read their taps from
+    `_tap_source` as well: the column sum of tap × g for the diagonal form,
+    and `tap.T @ g` on the zero-padded tap for the full form, since a GEMM
+    with a shorter inner dimension rounds differently.
     No copy of the relu gradient and no gradient at the input features is
     built, and a weight's first product after `zero_grad` is written
     straight into its grad buffer. A non-finite gradient reaching a relu
@@ -672,20 +673,17 @@ def backward(
             g_outs[src] = g_out
         a, pre = spans[l][0], cache.layer_pre[l]
         g_sum = relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
-        for shared, k in taps:
-            # window rows [t0, t1) read a tap row t - k inside pre, the others zeros
-            t0, t1 = max(lo, a + k), min(hi, a + len(pre) + k)
-            if t0 >= t1:
-                continue
-            if config.shared_weight_form == "diagonal":
-                shared.accumulate(
-                    (pre[t0 - a - k : t1 - a - k] * g_sum[t0 - lo : t1 - lo]).sum(axis=0))
-            else:
-                _add_product(shared, _rows(pre, lo - a - k, hi - a - k).T, g_sum)
+        for shared, k in taps:  # g_sum holds rows lo - a.. of pre's numbering
+            source = _tap_source(pre, k, shared.value, lo - a, hi - a)
+            if source is not None:
+                i0, i1, tap = source
+                if shared.value.ndim == 1:
+                    shared.accumulate((tap * g_sum[i0:i1]).sum(axis=0))
+                else:
+                    _add_product(shared, tap.T, g_sum[i0:i1])
         # the adjoint of z[t] += S pre[t - k] is g[s] += S^T g[s + k] on the
         # window's rows (.T leaves a diagonal form's vector as it is)
-        _add_taps(g_sum, g_sum, 0, [(shared.value.T, -k) for shared, k in taps],
-                  config.shared_weight_form, [])
+        _add_taps(g_sum, g_sum, 0, [(shared.value.T, -k) for shared, k in taps], [])
         g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum)
         if l in g_outs:
             g_below += g_outs[l]
@@ -781,20 +779,16 @@ def param_count_lstmp(layers: int, cells: int, proj: int, input_dim: int, num_cl
 
 def delay_span(config: RMNConfig) -> int:
     """Frames reachable through the delayed taps alone: sum of all m_l."""
-    return sum(delay_schedule(config))
+    return _reach(config)[0][0]
 
 
 def receptive_field(config: RMNConfig) -> tuple[int, int]:
-    """Analytic (past, future) input reach of one output frame.
-
-    Delays compound across the stack: each layer's tap feeds values that
-    themselves reached back through earlier layers, so the bound is the sum
-    of the per-layer delays plus any splice context.
-    """
-    span = delay_span(config)
-    past = config.splice_left + span
-    future = config.splice_right + (span if config.direction == "bi" else 0)
-    return past, future
+    """Analytic (past, future) input reach of one output frame: the whole
+    stack's reach (`_reach`) plus any splice context. Delays compound across
+    the stack, since each layer's tap reads values that themselves reached
+    back through earlier layers."""
+    past, future = _reach(config)[0]
+    return config.splice_left + past, config.splice_right + future
 
 
 def probe_receptive_field(
@@ -904,8 +898,6 @@ def load_checkpoint(path) -> Model:
             return _read_checkpoint(fh)
         except KeyError as e:
             raise ValueError(f"{path}: checkpoint header lacks {e.args[0]!r}") from None
-        except IndexError:
-            raise ValueError(f"{path}: truncated checkpoint") from None
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
 
@@ -926,21 +918,28 @@ def _read_checkpoint(fh) -> Model:
             raise ValueError(f"unknown checkpoint header key {key!r}")
         if key in kv:
             raise ValueError(f"repeated checkpoint header key {key!r}")
-        kv[key] = val
+        try:
+            kv[key] = parse_value(config_fields[key], val)
+        except ValueError as e:
+            raise ValueError(f"header key {key!r}: {e}") from None
         line = fh.readline()
-    config = RMNConfig(**{name: parse_value(f, kv[name]) for name, f in config_fields.items()})
+    config = RMNConfig(**{name: kv[name] for name in config_fields})
     # refused before allocating: every value takes a digit and a separator
     if 2 * param_count(config) > os.fstat(fh.fileno()).st_size:
         raise ValueError(f"header declares {param_count(config)} values, more than the file holds")
     params = ModelParams(config, rng=None)
     for p in params.parameters():
-        header = line.split()
-        if header[0] != "param" or header[1] != p.name:
-            raise ValueError(f"expected parameter {p.name!r}, found {line.rstrip()!r}")
-        ndim = int(header[2])
-        shape = tuple(int(d) for d in header[3 : 3 + ndim])
-        if shape != p.value.shape:
-            raise ValueError(f"parameter {p.name!r} shape {shape} != expected {p.value.shape}")
+        if not line:
+            raise ValueError("truncated checkpoint")
+        words = line.split()
+        try:  # exactly `param <name> <ndim> <dim>...`
+            ndim, *shape = map(int, words[2:])
+        except ValueError:  # a field that is not an integer, or no field at all
+            ndim, shape = -1, []
+        if words[:2] != ["param", p.name] or ndim != len(shape):
+            raise ValueError(f"expected 'param {p.name} <ndim> <dim>...', found {line.rstrip()!r}")
+        if tuple(shape) != p.value.shape:
+            raise ValueError(f"parameter {p.name!r} shape {tuple(shape)} != expected {p.value.shape}")
         rows = np.atleast_2d(p.value)
         for lo in range(0, len(rows), _CKPT_BLOCK_ROWS):
             block = rows[lo : lo + _CKPT_BLOCK_ROWS]

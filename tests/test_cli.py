@@ -1,6 +1,7 @@
 """Command-line behavior: argument handling, exit codes, file outputs and
 the experiment-config loader. Commands run in-process through main()."""
 
+import codecs
 import contextlib
 import functools
 import io
@@ -212,6 +213,14 @@ def test_config_loader_rejects_missing_required(tmp_path):
         load_experiment_config(str(path), {})
 
 
+def test_config_loader_skips_a_byte_order_mark(tmp_path):
+    train, valid = write_corpora(tmp_path)
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + base_config_text(tmp_path, train, valid).encode())
+    settings = load_experiment_config(str(path), {})
+    assert settings["train_archive"] == str(train)
+
+
 def test_config_loader_rejects_non_utf8_bytes_naming_the_line(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_bytes(b"wide_dim = 8\nmemory_dim = \xff4\n")
@@ -394,6 +403,7 @@ def test_eval_checkpoint_missing_header_key_is_usage_error(tmp_path, capsys):
         (text.replace("splice_right 0\n", "splice_right 0\nbogus_key 7\n"),
          "unknown checkpoint header key 'bogus_key'"),
         (text.replace(input_dim, input_dim * 2), "repeated checkpoint header key 'input_dim'"),
+        (text.replace(input_dim, "input_dim 1e3\n"), f"{ckpt}: header key 'input_dim': "),
     ]:
         ckpt.write_text(damaged)
         assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=mentions)

@@ -1,6 +1,9 @@
 """Corpus container, text archive round-trips, splicing, normalization
 and the synthetic task generators."""
 
+import codecs
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from rmnlab.data import (
     splice,
     write_archive,
 )
+from rmnlab.model import RMNConfig, model_input
 
 RNG = np.random.default_rng(7)
 
@@ -183,12 +187,27 @@ def test_cut_archive_reads_or_raises_typed_error(tmp_path_factory, cut, labeled)
     (b"u0 [ 2\n 1 2 ]\nlabels u0 \xff\n", ParseError, "line 3"),
     (b"u0 [ 2\n 1 2 ]\nlabels u0 99999999999999999999\n", ParseError, "line 3"),
     (b"u0 [ 2\n 1 2 ]\nlabels u0 5\n", FormatError, "labels outside"),
+    # the header's class count: an integer of at least 0
+    (b"u0 [ 2\n 1 2 ]\nu [ -3\n 1 2 ]\n", ParseError,
+     re.escape("line 3: negative class count in header 'u [ -3'")),
+    (b"u0 [ 2.5\n 1 2 ]\n", ParseError, "line 1: class count '2.5' is not an integer"),
 ])
 def test_archive_rejects_malformed_content(tmp_path, content, error, match):
     path = tmp_path / "bad.arc"
     path.write_bytes(content)
     with pytest.raises(error, match=match):
         read_archive(path)
+
+
+def test_archive_with_a_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "c.arc"
+    write_archive(random_corpus(n_utts=3, with_labels=True, seed=4), path)
+    plain = read_archive(path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    marked = read_archive(path)
+    assert [u.id for u in marked.utterances] == [u.id for u in plain.utterances]
+    for a, b in zip(marked.utterances, plain.utterances):
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
 
 
 def test_archive_keeps_empty_utterance_width(tmp_path):
@@ -249,6 +268,15 @@ def test_stacked_splice_equals_the_splices_of_each_utterance(lengths, left, righ
     assert np.array_equal(splice(np.concatenate(feats), left, right, lengths), want)
     assert np.array_equal(splice(np.concatenate(feats), left, right, [sum(lengths)]),
                           splice(np.concatenate(feats), left, right))
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 2, 2), ()])
+def test_splice_rejects_input_that_is_not_a_matrix(shape):
+    # splicing is configured, so model_input splices too
+    cfg = RMNConfig(input_dim=6, num_memory_layers=1, num_classes=2, splice_left=1, splice_right=1)
+    for call in (lambda x: splice(x, 1, 1), lambda x: model_input(cfg, x)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            call(np.zeros(shape))
 
 
 @pytest.mark.parametrize("lengths", [[2, 3], [], [7, -1], [[6]]])

@@ -3,6 +3,7 @@ against the naive untied reference implementation, finite-difference
 gradient verification, structural invariants (causality, residual
 identity, zero-init equivalence), analysis tools and checkpoints."""
 
+import copy
 import itertools
 import re
 import tracemalloc
@@ -442,6 +443,28 @@ def test_scoring_forward_equals_the_padded_formulation_bit_for_bit(variant):
         for got, literal in zip(cache.layer_sum + cache.layer_out, sums + outs, strict=True):
             assert np.array_equal(got, literal), t_frames
         assert np.array_equal(streaming_forward(params, cfg, x, t_frames, 0), want), t_frames
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: "-".join(v.values()))
+def test_the_passes_read_the_form_from_the_transform_shape(variant):
+    # an unknown form string set after the parameters are built changes no bit
+    # of a training forward and backward, a scoring forward or a stream
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    params = ready_params(cfg)
+    unknown = copy.copy(cfg)
+    unknown.shared_weight_form = "no such form"
+    x = RNG.uniform(-2, 2, (30, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 30)
+    results = []
+    for c in (cfg, unknown):
+        params.zero_grads()
+        cache, logits = forward(params, c, x, rows=(4, 20))
+        backward(params, c, cache, labels, grad_window=(6, 18))
+        results.append([logits, *(p.grad.copy() for p in params.parameters()),
+                        forward(params, c, np.concatenate([x, x[:7]]), lengths=[30, 7]),
+                        streaming_forward(params, c, x, 7, 5)])
+    for got, want in zip(*results, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("direction", ["uni", "bi"])
@@ -1159,6 +1182,38 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "not.ckpt"
     path.write_text("something else entirely\n")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+INPUT_B_LINE = "'param input_b <ndim> <dim>...'"
+
+
+@pytest.mark.parametrize("old, new, mentions", [
+    ("input_dim 6\n", "input_dim 1e3\n", "header key 'input_dim': "),
+    ("input_dim 6\n", "input_dim\n", "header key 'input_dim': "),
+    ("param input_b 1 8\n", "param input_b x 8\n", INPUT_B_LINE),
+    ("param input_b 1 8\n", "param\n", INPUT_B_LINE),
+    ("param input_b 1 8\n", "param input_b 1 8 7\n", INPUT_B_LINE),
+])
+def test_checkpoint_header_errors_name_the_key_or_parameter(tmp_path, old, new, mentions):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as err:
+        load_checkpoint(path)
+    assert mentions in str(err.value)
+
+
+def test_checkpoint_ending_before_a_parameter_line_is_truncated(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Model(cfg, ready_params(cfg)), path)
+    text = path.read_text()
+    path.write_text(text[: text.index("param input_b")])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint")):
         load_checkpoint(path)
 
 
