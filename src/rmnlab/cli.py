@@ -184,13 +184,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _quiet_overflow():
-    """Silence numpy's floating-point warnings for a training run: a
-    diverging run overflows in its forward pass a step before `sgd_step`
-    raises the NumericError that reports it, in one line."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def cmd_train(args) -> int:
     settings, train_corpus, valid_corpus, train_config, (model_config,) = _load_experiment(args)
     model = Model(model_config, init_params(model_config, train_config.seed))
@@ -212,8 +205,7 @@ def cmd_train(args) -> int:
         )
         return False
 
-    with _quiet_overflow():
-        fit(model, train_corpus, valid_corpus, train_config, on_epoch=on_epoch)
+    fit(model, train_corpus, valid_corpus, train_config, on_epoch=on_epoch)
     save_checkpoint(model, os.path.join(out_dir, "final.ckpt"))
     print(f"training done; metrics in {metrics_path}")
     return 0
@@ -296,8 +288,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for model_config in model_configs:
         model = Model(model_config, init_params(model_config, train_config.seed))
-        with _quiet_overflow():
-            stats = fit(model, train_corpus, valid_corpus, train_config)
+        stats = fit(model, train_corpus, valid_corpus, train_config)
         best = min(s.valid_fer for s in stats)
         rows.append((model_config.num_memory_layers, best))
         print(f"layers={model_config.num_memory_layers} best_valid_fer={best:.4f}")
@@ -346,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar=("CHUNK", "LOOKAHEAD"),
         default=None,
-        help="bounded-lookahead chunked inference instead of full sequences",
+        help="bounded-lookahead chunked inference instead of full sequences; LOOKAHEAD "
+        "counts model-input rows past a chunk, and as the utterance is spliced first, "
+        "a window also reads splice_right raw frames beyond them",
     )
     p.set_defaults(func=cmd_eval)
 
@@ -400,7 +393,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        return args.func(args)
+        # a run that overflows goes on to a check that raises NumericError,
+        # which prints its one line; numpy's float warnings would come first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1

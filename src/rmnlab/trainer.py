@@ -245,7 +245,8 @@ def _score(model: Model, groups, logits_of) -> tuple[float, float]:
     group's model input x, its utterances of `lengths` frames one after
     another. Each group's features are spliced in one gather, and its loss
     terms and argmax made in one pass; losses are summed per utterance, in
-    corpus order."""
+    corpus order. The first utterance whose mean loss is not finite raises
+    NumericError naming it: this is the one check of a scored loss."""
     total_frames = 0
     ce_sum = 0.0
     errors = 0
@@ -255,8 +256,11 @@ def _score(model: Model, groups, logits_of) -> tuple[float, float]:
         logits = logits_of(model_input(model.config, features, lengths), lengths)
         terms, labels = xent_terms(logits, [utt.labels for utt in group], lengths)
         start = 0
-        for n in lengths:
-            ce_sum += float(np.mean(terms[start : start + n])) * n
+        for utt, n in zip(group, lengths):
+            ce = float(np.mean(terms[start : start + n]))
+            if not math.isfinite(ce):
+                raise NumericError(f"non-finite loss for utterance {utt.id!r}")
+            ce_sum += ce * n
             start += n
         errors += int(np.count_nonzero(np.argmax(logits, axis=1) != labels))
         total_frames += len(labels)
@@ -331,8 +335,8 @@ def fit(
     base_lr / 64. `on_epoch(stats, model)` runs after every epoch; a truthy
     return requests an early stop. Fully deterministic for a given seed.
     A diverging run raises NumericError: from `sgd_step` at a non-finite
-    update, or after an epoch whose training or validation loss is not
-    finite.
+    update, or from `evaluate` at the first utterance whose loss after an
+    epoch is not finite, training set first; that epoch is not recorded.
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")
@@ -357,10 +361,6 @@ def fit(
                 _train_step(model, train_corpus, step_pieces, lr, config)
         train_ce, train_fer = evaluate(model, train_corpus)
         valid_ce, valid_fer = evaluate(model, valid_corpus)
-        if not (math.isfinite(train_ce) and math.isfinite(valid_ce)):
-            raise NumericError(
-                f"non-finite loss after epoch {epoch} (train_ce={train_ce}, valid_ce={valid_ce})"
-            )
         stats = EpochStats(
             epoch=epoch,
             lr=lr,

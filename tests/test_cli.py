@@ -9,6 +9,7 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ def test_gradcheck_bi_full(capsys):
 def test_gradcheck_corrupt_control_fails(capsys):
     assert run("gradcheck", "--corrupt-gradient") == 1
     assert "gradcheck FAIL" in capsys.readouterr().out
+
+
+def run_warning_free(*argv):
+    """run(), asserting that numpy warned of nothing on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def test_gradcheck_that_overflows_is_one_numeric_failure_line(capsys):
+    # ten thousand layers of random weights overflow in the forward pass
+    assert run_warning_free("gradcheck", "--layers", "10000") == 1
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert len(said.err.splitlines()) == 1
+    assert said.err.startswith("numeric failure: non-finite loss while perturbing ")
 
 
 # --- experiment config loader -------------------------------------------------------
@@ -450,6 +469,22 @@ def test_eval_damaged_checkpoint_is_one_line_usage_error(tmp_path, capsys, damag
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=f"{ckpt}: {mentions}")
 
 
+@pytest.mark.parametrize("stream", [[], ["--stream", "2", "1"]])
+def test_eval_of_huge_weights_is_one_numeric_failure_line(tmp_path, capsys, stream):
+    # finite values the reader accepts, whose products overflow
+    ckpt, valid = trained_checkpoint(tmp_path)
+    model = load_checkpoint(ckpt)
+    model.params.input_w.value[...] = 1e300
+    model.params.out2_w.value[...] = 1e300
+    save_checkpoint(model, ckpt)
+    first = read_archive(valid).utterances[0].id
+    capsys.readouterr()
+    assert run_warning_free("eval", str(ckpt), str(valid), *stream) == 1
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err == f"numeric failure: non-finite loss for utterance {first!r}\n"
+
+
 @pytest.mark.parametrize("stream", [[], ["--stream", "1", "0"]])
 def test_eval_zero_frame_utterance_is_usage_error(tmp_path, capsys, stream):
     ckpt, valid = trained_checkpoint(tmp_path)
@@ -549,8 +584,7 @@ def test_a_non_finite_epoch_loss_is_a_numeric_failure(tmp_path, capsys):
     assert run("train", str(cfg)) == 1
     said = capsys.readouterr()
     assert [line.split(":")[0] for line in said.out.splitlines()] == ["epoch 1", "epoch 2"]
-    assert said.err == ("numeric failure: non-finite loss after epoch 3 "
-                        "(train_ce=nan, valid_ce=nan)\n")
+    assert said.err == "numeric failure: non-finite loss for utterance 'utt00000'\n"
     assert len((tmp_path / "run" / "metrics.csv").read_text().splitlines()) == 3
 
 
@@ -676,13 +710,16 @@ seed = 0
 """
 
 # edits that keep a file's layout; the first two checkpoint edits declare
-# far more values than the file holds, and the last blanks input_b's one row
+# far more values than the file holds, the seventh blanks input_b's one row
+# and the last moves every nonzero weight 10**300 away from zero, so that
+# eval overflows
 E2E_EDITS = {
     "model.ckpt": [(b"wide_dim 4\n", b"wide_dim 100000000000\n"),
                    (b"num_memory_layers 2\n", b"num_memory_layers 300000000\n"),
                    (b"direction uni", b"direction bi"), (b"num_classes 4", b"num_classes 3"),
                    (b"param layer1_w", b"param layer2_w"), (b"input_dim 3", b"input_dim 1"),
-                   (b"param input_b 1 4\n0 0 0 0\n", b"param input_b 1 4\n\n")],
+                   (b"param input_b 1 4\n0 0 0 0\n", b"param input_b 1 4\n\n"),
+                   (b"0.", b"1" + b"0" * 300 + b".")],
     "exp.cfg": [(b"max_epochs = 2", b"max_epochs = 0"), (b"seed = 0", b"seed = -1"),
                 (b"wide_dim = 4", b"wide_dim = nan"), (b"out_dir = run", b"out_dir = sub"),
                 (b"valid.arc", b"train.arc"), (b"truncation_chunk = 4", b"truncation_chunk = 0"),
@@ -716,7 +753,7 @@ E2E_VARIANT = st.just(("copy",)) | st.one_of(
     st.tuples(st.just("cut"), st.integers(0, 10**5)),
     st.tuples(st.just("byte"), st.integers(0, 10**5), st.sampled_from(E2E_BYTES)),
     st.tuples(st.just("insert"), st.integers(0, 10**5), st.sampled_from(E2E_INSERTS)),
-    st.tuples(st.just("edit"), st.integers(0, 6)),
+    st.tuples(st.just("edit"), st.integers(0, 7)),
     st.just(("dir",)),
     st.just(("missing",)),
 )
@@ -852,6 +889,9 @@ def e2e_argv(draw):
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 0)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 1)}))
 @example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 6)}))
+@example(argv=["eval", "model.ckpt", "valid.arc"], files=e2e_files({"model.ckpt": ("edit", 7)}))
+@example(argv=["eval", "model.ckpt", "valid.arc", "--stream", "2", "1"],
+         files=e2e_files({"model.ckpt": ("edit", 7)}))
 @example(argv=["params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
                "--compare-lstmp", "0", "1", "1", "1", "1"], files=e2e_files())
 @example(argv=["sweep", "exp.cfg", "--layers", "2,2"], files=e2e_files())
@@ -859,7 +899,8 @@ def e2e_argv(draw):
 @example(argv=["eval", "model.ckpt", "valid.arc", "--stream", "3", "1"], files=e2e_files())
 def test_main_exits_0_1_or_2_and_a_usage_error_writes_nothing(argv, files):
     # main never raises; exit 2 prints one `error:` line or argparse's usage
-    # to stderr, nothing to stdout, and leaves the directory as it was
+    # to stderr, nothing to stdout, and leaves the directory as it was; exit
+    # 1 prints at most one line to stderr, and an eval that exits 0 no NaN
     home = os.getcwd()
     work = tempfile.mkdtemp(prefix="rmnlab-e2e-")
     try:
@@ -875,6 +916,10 @@ def test_main_exits_0_1_or_2_and_a_usage_error_writes_nothing(argv, files):
         finally:
             os.chdir(home)
         assert code in (0, 1, 2)
+        if code == 0 and "eval" in argv:
+            assert "nan" not in out.getvalue()
+        if code == 1:
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
         if code == 2:
             said = err.getvalue()
             assert out.getvalue() == ""

@@ -191,6 +191,12 @@ def test_cut_archive_reads_or_raises_typed_error(tmp_path_factory, cut, labeled)
     (b"u0 [ 2\n 1 2 ]\nu [ -3\n 1 2 ]\n", ParseError,
      re.escape("line 3: negative class count in header 'u [ -3'")),
     (b"u0 [ 2.5\n 1 2 ]\n", ParseError, "line 1: class count '2.5' is not an integer"),
+    (b"u0 [ 2\n 1 2 ]\nlabels u0 1.5\n", ParseError, "line 3: non-integer label"),
+    (b"u0 [ 2\n 1 2 ]\nlabels u0 1\nlabels u0 0\n", FormatError,
+     "line 4: duplicate labels for 'u0'"),
+    # the first utterance with frames sets the corpus width
+    (b"u0 [ 2\n 1 2 ]\nu1 [ 2\n 1 2 3 ]\n", FormatError,
+     re.escape("utterance 'u1': feature shape (1, 3) does not match corpus dim 2")),
 ])
 def test_archive_rejects_malformed_content(tmp_path, content, error, match):
     path = tmp_path / "bad.arc"
@@ -279,6 +285,12 @@ def test_splice_rejects_input_that_is_not_a_matrix(shape):
             call(np.zeros(shape))
 
 
+@pytest.mark.parametrize("left, right", [(-1, 0), (0, -1)])
+def test_splice_rejects_negative_widths(left, right):
+    with pytest.raises(ValueError, match="splice widths must be >= 0"):
+        splice(np.zeros((6, 2)), left, right)
+
+
 @pytest.mark.parametrize("lengths", [[2, 3], [], [7, -1], [[6]]])
 def test_splice_rejects_lengths_that_do_not_stack(lengths):
     with pytest.raises(ValueError, match="do not stack"):
@@ -294,6 +306,14 @@ def test_mean_var_normalize_statistics():
     stacked = np.vstack([u.features for u in normed.utterances])
     assert np.allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(stacked.var(axis=0), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lengths", [[1], [0, 1], []])
+def test_mean_var_normalize_needs_two_frames(lengths):
+    corpus = Corpus([Utterance(f"u{n}", np.ones((t, 2)), None) for n, t in enumerate(lengths)],
+                    feature_dim=2, num_classes=0)
+    with pytest.raises(ValueError, match="need at least 2 frames to normalize"):
+        mean_var_normalize(corpus)
 
 
 def test_mean_var_normalize_constant_dimension():

@@ -95,6 +95,9 @@ def test_config_rejects_bad_values():
         tiny_config(residual_interval=0)
     with pytest.raises(ValueError):
         tiny_config(direction="bi", delay_enabled=False)
+    for side in ("splice_left", "splice_right"):
+        with pytest.raises(ValueError, match="splice widths must be >= 0"):
+            tiny_config(**{side: -1})
 
 
 # --- delay schedule ----------------------------------------------------------
@@ -1194,6 +1197,8 @@ INPUT_B_LINE = "'param input_b <ndim> <dim>...'"
     ("param input_b 1 8\n", "param input_b x 8\n", INPUT_B_LINE),
     ("param input_b 1 8\n", "param\n", INPUT_B_LINE),
     ("param input_b 1 8\n", "param input_b 1 8 7\n", INPUT_B_LINE),
+    ("param input_b 1 8\n", "param input_b 1 7\n",
+     "parameter 'input_b' shape (7,) != expected (8,)"),
 ])
 def test_checkpoint_header_errors_name_the_key_or_parameter(tmp_path, old, new, mentions):
     cfg = tiny_config()

@@ -1,6 +1,8 @@
 """Primitive-level checks: every backward against finite differences,
 plus the loss and the checker itself."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ def test_affine_shape_errors():
         affine(np.ones((2, 3)), np.ones((3, 2)), np.zeros(5))
     with pytest.raises(DimensionError):
         affine_backward(np.ones((2, 3)), np.ones((3, 4)), np.ones((2, 5)))
+    with pytest.raises(DimensionError, match=re.escape("affine input must be 2-D, got shape (3,)")):
+        affine(np.ones(3), np.ones((3, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relu_backward(np.ones((2, 3)), np.ones((3, 2))),
+     "relu_backward: shapes (2, 3) and (3, 2) differ"),
+    (lambda: diag_scale_backward(np.ones((2, 3)), np.ones(3), np.ones((2, 2))),
+     "diag_scale_backward: shapes (2, 3) and (2, 2) differ"),
+    (lambda: diag_scale(np.ones((2, 3)), np.ones(2)),
+     "diag_scale: vector length 2 != column count 3"),
+], ids=["relu_backward", "diag_scale_backward", "diag_scale"])
+def test_primitives_name_the_shapes_they_reject(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_relu_and_backward():

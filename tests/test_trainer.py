@@ -541,12 +541,39 @@ def test_evaluate_rejects_a_bad_utterance_anywhere_in_a_group(position, fault, e
         evaluate(model, corpus)
 
 
-@pytest.mark.parametrize("score", [evaluate, lambda m, c: evaluate_streaming(m, c, 4, 1)],
-                         ids=["evaluate", "evaluate_streaming"])
+SCORERS = pytest.mark.parametrize(
+    "score", [evaluate, lambda m, c: evaluate_streaming(m, c, 4, 1)],
+    ids=["evaluate", "evaluate_streaming"])
+
+
+@SCORERS
 def test_scoring_an_empty_corpus_is_a_value_error(score):
     model = small_model()
     with pytest.raises(ValueError, match="corpus is empty"):
         score(model, Corpus([], model.config.input_dim, model.config.num_classes))
+
+
+@SCORERS
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_non_finite_loss_is_a_numeric_error_naming_the_utterance(score, position):
+    # scoring does not check features, so a NaN reaches its utterance's
+    # loss; the five utterances form one group, and no other loss is touched
+    model = small_model()
+    corpus = random_corpus(5, t_frames=6, seed=8)
+    corpus.utterances[position].features[2, 1] = np.nan
+    with pytest.raises(NumericError, match=f"^non-finite loss for utterance 'u{position}'$"):
+        score(model, corpus)
+
+
+@SCORERS
+def test_huge_weights_are_a_numeric_error_at_the_first_utterance(score):
+    model = small_model()
+    model.params.input_w.value[...] = 1e300
+    model.params.out2_w.value[...] = 1e300
+    # the library leaves numpy's float warnings on; the products overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="^non-finite loss for utterance 'u0'$"):
+            score(model, random_corpus(3, t_frames=6, seed=8))
 
 
 def test_evaluate_keeps_no_forward_cache():
@@ -719,6 +746,15 @@ def test_check_corpus_rejects_a_zero_frame_utterance():
         check_corpus(model.config, corpus, "eval")
     with pytest.raises(ValueError, match="'silent' has no frames"):
         fit(model, corpus, random_corpus(2, t_frames=10, seed=2), TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_corpus_rejects_non_finite_features_held_in_memory(bad):
+    model = small_model()
+    corpus = random_corpus(3, t_frames=10, seed=1)
+    corpus.utterances[2].features[4, 0] = bad
+    with pytest.raises(ValueError, match="utterance 'u2' has non-finite features"):
+        check_corpus(model.config, corpus, "eval")
 
 
 def test_fit_rejects_mismatched_corpus():
