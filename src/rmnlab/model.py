@@ -26,12 +26,12 @@ from . import data as data_mod
 from .numerics import (
     DimensionError,
     Parameter,
+    _diag_scale,
+    _relu,
+    _relu_backward,
     affine,
     affine_backward,
-    diag_scale,
     grad_check,
-    relu,
-    relu_backward,
     softmax_xent,
     xent_loss,
 )
@@ -167,6 +167,8 @@ class ModelParams:
     unset, for a checkpoint reader to fill.
     """
 
+    _plan = None  # the wiring plan of the latest forward (`_plan`)
+
     def __init__(self, config: RMNConfig, rng: np.random.Generator | None):
         c = config
 
@@ -261,7 +263,8 @@ class ForwardCache:
     each layer's own affine output (the tap source), `layer_sum` the relu
     input after the delayed taps (the layer's mask), `layer_out` the value
     after any shortcut. The taps enter `layer_sum` by the tap rule
-    (`_add_taps`).
+    (`_add_taps`). `plan` is the wiring the forward ran (`_plan`), which
+    `backward` follows.
     """
 
     x: np.ndarray
@@ -274,6 +277,7 @@ class ForwardCache:
     out1_post: np.ndarray
     logits: np.ndarray
     params_ref: ModelParams = field(repr=False, default=None)
+    plan: _Plan = field(repr=False, default=None)
 
 
 def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -325,6 +329,41 @@ def _wiring(
     ]
 
 
+@dataclass
+class _Plan:
+    """`_wiring` and what the passes read of it, decided once per (params,
+    config) by `_plan`: per memory layer its taps as (shared value, k), and
+    per outs[j] the last layer that reads it, itself or by shortcut."""
+
+    key: tuple  # the config fields the wiring reads
+    shared: list  # each shared transform's Parameter and value array
+    wiring: list[tuple[list[tuple[Parameter, int]], int | None]]
+    taps: list[list[tuple[np.ndarray, int]]]
+    last_reader: list[int]
+
+
+def _plan(params: ModelParams, config: RMNConfig) -> _Plan:
+    """The plan of params under config, kept on params: remade when a config
+    field the wiring reads has changed (an RMNConfig is mutable), or a shared
+    transform is another Parameter or array."""
+    key = (config.num_memory_layers, config.direction, config.delay_enabled,
+           config.residual_interval)
+    shared = [a for p in (params.shared_past, params.shared_future) if p is not None
+              for a in (p, p.value)]
+    plan = params._plan
+    if (plan is not None and plan.key == key and len(plan.shared) == len(shared)
+            and all(a is b for a, b in zip(plan.shared, shared))):
+        return plan
+    wiring = _wiring(params, config)
+    last_reader = list(range(len(wiring)))
+    for l, (_, src) in enumerate(wiring):
+        if src is not None:
+            last_reader[src] = l
+    taps = [[(s.value, k) for s, k in layer_taps] for layer_taps, _ in wiring]
+    params._plan = _Plan(key, shared, wiring, taps, last_reader)
+    return params._plan
+
+
 def _tap_source(pre: np.ndarray, k: int, shared: np.ndarray, r0: int, r1: int):
     """(i0, i1, tap): the sources pre[t - k] of rows r0 + i0 .. r0 + i1 - 1
     of pre's numbering for the tap (shared, k), or None when no source row
@@ -356,7 +395,7 @@ def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int]) 
         source = _tap_source(pre, k, shared, z0, z0 + len(z))
         if source is not None:
             i0, i1, tap = source
-            product = diag_scale(tap, shared) if shared.ndim == 1 else tap @ shared
+            product = _diag_scale(tap, shared) if shared.ndim == 1 else tap @ shared
             _cut_edges(product, z0 + i0, k, starts)
             products.append((i0, i1, product))
     for i0, i1, product in products:
@@ -366,7 +405,7 @@ def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int]) 
 def _affine_relu(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
     """relu(affine(x, w, b)), the relu made in the affine's fresh output."""
     h = affine(x, w.value, b.value)
-    return relu(h, out=h)
+    return _relu(h, h)
 
 
 def model_input(config: RMNConfig, features: np.ndarray, lengths=None) -> np.ndarray:
@@ -518,8 +557,9 @@ def forward(
     (`_add_taps`), and the relu, in z but in training (which caches z), and
     the shortcut add follow.
 
-    Only the training call, with neither `carry` nor `lengths`, builds a
-    cache. The inference modes keep no stage array for a backward pass: one
+    The wiring, each layer's taps and shortcut, is planned once and kept
+    with `params` (`_plan`). Only the training call, with neither `carry`
+    nor `lengths`, builds a cache. The inference modes keep no stage array for a backward pass: one
     is dropped once no later stage or shortcut reads it.
     """
     scoring = lengths is not None
@@ -551,14 +591,9 @@ def forward(
     outs = [keep("proj_post", 0, _affine_relu(input_post, params.proj_w, params.proj_b))]
     input_post = input_post if training else None  # only backward reads it
 
-    wiring = _wiring(params, config)
-    # outs[j] feeds layer j, and the layer whose shortcut source is j
-    last_reader = list(range(len(wiring)))
-    for l, (_, src) in enumerate(wiring):
-        if src is not None:
-            last_reader[src] = l
+    plan = _plan(params, config)
     layer_pre, layer_sum = [], []
-    for l, (taps, src) in enumerate(wiring):
+    for l, (_, src) in enumerate(plan.wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
@@ -566,8 +601,8 @@ def forward(
                                         params.layer_b[l].value))
         # in scoring every span is the whole group, and nothing else reads pre
         z = pre if scoring else pre[f - a : d - a].copy()
-        _add_taps(z, pre, f - a, [(shared.value, k) for shared, k in taps], starts)
-        out = relu(z) if training else relu(z, out=z)
+        _add_taps(z, pre, f - a, plan.taps[l], starts)
+        out = _relu(z) if training else _relu(z, z)
         if src is not None:
             c = spans[src][0]
             out += outs[src][f - c : d - c]
@@ -577,7 +612,7 @@ def forward(
         else:  # drop what no later stage or shortcut reads
             pre = z = None
             for j in (l, src):
-                if j is not None and last_reader[j] == l:
+                if j is not None and plan.last_reader[j] == l:
                     outs[j] = None
         outs.append(keep(f"out{l}", l + 1, out))
 
@@ -599,6 +634,7 @@ def forward(
         out1_post=out1_post,
         logits=logits,
         params_ref=params,
+        plan=plan,
     ), logits
 
 
@@ -625,6 +661,7 @@ def backward(
     diagonal scale runs on the window rows only; the delayed taps read
     their `pre[t -/+ m]` values from the cache outside the window.
 
+    The wiring is that of the forward that built the cache (its `plan`).
     Only the products are computed. A memory layer's relu gradient g is a
     fresh array (its incoming gradient may also be a shortcut's). Once the
     shared transforms' weight gradients have read g, the adjoint of each
@@ -661,18 +698,19 @@ def backward(
 
     # classifier block
     g_out1_post = _affine_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits)
-    g_out1_pre = relu_backward(win(cache.out1_post, r_lo), g_out1_post)
+    g_out1_pre = _relu_backward(win(cache.out1_post, r_lo), g_out1_post)
     outs = [cache.proj_post] + cache.layer_out
     # g_outs[j]: the gradient at outs[j] from the readers of outs[j] walked so
     # far, the layer above it and any shortcut
     g_outs = {len(outs) - 1: _affine_grads(
         win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre)}
-    for l, (taps, src) in reversed(list(enumerate(_wiring(params, config)))):
+    plan = cache.plan
+    for l, (taps, src) in reversed(list(enumerate(plan.wiring))):
         g_out = g_outs.pop(l + 1)
         if src is not None:
             g_outs[src] = g_out
         a, pre = spans[l][0], cache.layer_pre[l]
-        g_sum = relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
+        g_sum = _relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
         for shared, k in taps:  # g_sum holds rows lo - a.. of pre's numbering
             source = _tap_source(pre, k, shared.value, lo - a, hi - a)
             if source is not None:
@@ -683,16 +721,16 @@ def backward(
                     _add_product(shared, tap.T, g_sum[i0:i1])
         # the adjoint of z[t] += S pre[t - k] is g[s] += S^T g[s + k] on the
         # window's rows (.T leaves a diagonal form's vector as it is)
-        _add_taps(g_sum, g_sum, 0, [(shared.value.T, -k) for shared, k in taps], [])
+        _add_taps(g_sum, g_sum, 0, [(s.T, -k) for s, k in plan.taps[l]], [])
         g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum)
         if l in g_outs:
             g_below += g_outs[l]
         g_outs[l] = g_below
 
     a = spans[0][0]
-    g_proj_pre = relu_backward(win(cache.proj_post, a), g_outs[0])
+    g_proj_pre = _relu_backward(win(cache.proj_post, a), g_outs[0])
     g_input_post = _affine_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g_proj_pre)
-    g_input_pre = relu_backward(win(cache.input_post, a), g_input_post)
+    g_input_pre = _relu_backward(win(cache.input_post, a), g_input_post)
     _affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g_input_pre, input_grad=False)
     return loss
 

@@ -12,6 +12,13 @@ exact zero.
 Gradients through relu are masked by multiplication, so a NaN or infinite
 incoming gradient stays non-finite at an inactive unit instead of being
 zeroed there (see `relu_backward`).
+
+The public functions check their operands. `relu`, `relu_backward` and
+`diag_scale` are a check followed by one private body (`_relu`,
+`_relu_backward`, `_diag_scale`), and the model's passes call the bodies:
+`forward`'s input check and the corpus check have fixed every shape they
+see. `affine` and `affine_backward` keep their checks on every call, so
+each GEMM stays a call of a public function that a tracer can wrap.
 """
 
 from __future__ import annotations
@@ -159,7 +166,11 @@ def affine_backward(x, w, grad_out, *, grad_w_out=None, input_grad: bool = True)
 
 def relu(x, out=None) -> np.ndarray:
     """max(x, 0), into `out` when given (x itself for an in-place relu)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
+    return _relu(np.asarray(x, dtype=np.float64), out)
+
+
+def _relu(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
@@ -177,6 +188,10 @@ def relu_backward(x, grad_out) -> np.ndarray:
     g = np.asarray(grad_out, dtype=np.float64)
     if x.shape != g.shape:
         raise DimensionError(f"relu_backward: shapes {x.shape} and {g.shape} differ")
+    return _relu_backward(x, g)
+
+
+def _relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g * (x > 0.0)
 
 
@@ -189,6 +204,10 @@ def diag_scale(x, d_vec) -> np.ndarray:
     d = np.asarray(d_vec, dtype=np.float64).reshape(-1)
     if d.shape[0] != x.shape[1]:
         raise DimensionError(f"diag_scale: vector length {d.shape[0]} != column count {x.shape[1]}")
+    return _diag_scale(x, d)
+
+
+def _diag_scale(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return x * d
 
 

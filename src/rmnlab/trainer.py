@@ -206,15 +206,16 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
         p.zero_grad()
 
 
-def _train_step(model: Model, corpus, step_pieces, lr, cfg: TrainConfig) -> None:
+def _train_step(model: Model, examples, step_pieces, lr, cfg: TrainConfig) -> None:
+    """One SGD step over `step_pieces`; `examples[i]` is the (model input,
+    labels) pair of utterance i."""
     total_frames = sum(p.chunk_end - p.chunk_start for p in step_pieces)
     for piece in step_pieces:
-        utt = corpus.utterances[piece.utt_index]
-        x = model_input(model.config, utt.features)
+        x, labels = examples[piece.utt_index]
         rows = (piece.chunk_start, piece.chunk_end)
         cache, _ = forward(model.params, model.config, x, rows=rows)
         scale = (piece.chunk_end - piece.chunk_start) / total_frames
-        backward(model.params, model.config, cache, utt.labels, loss_scale=scale, grad_window=rows)
+        backward(model.params, model.config, cache, labels, loss_scale=scale, grad_window=rows)
     sgd_step(model.params, lr, cfg.momentum, cfg.l2)
 
 
@@ -297,6 +298,15 @@ def evaluate_streaming(
     )
 
 
+def _evaluate_epoch(model: Model, corpus: data_mod.Corpus, name: str, epoch: int):
+    """`evaluate` after an epoch of `fit`; a NumericError names the set and
+    the epoch."""
+    try:
+        return evaluate(model, corpus)
+    except NumericError as e:
+        raise NumericError(f"{e} of the {name} set after epoch {epoch}") from e
+
+
 def check_corpus(config: RMNConfig, corpus: data_mod.Corpus, name: str) -> None:
     """Reject a corpus a model of this config cannot be trained or scored
     on: empty, holding a zero-frame utterance, unlabeled, non-finite, or of
@@ -336,10 +346,20 @@ def fit(
     return requests an early stop. Fully deterministic for a given seed.
     A diverging run raises NumericError: from `sgd_step` at a non-finite
     update, or from `evaluate` at the first utterance whose loss after an
-    epoch is not finite, training set first; that epoch is not recorded.
+    epoch is not finite, training set first, naming the set and the epoch;
+    that epoch is not recorded.
+
+    Each training utterance is spliced into its model input once, before
+    the first epoch, and every step reads it from there: with a splice the
+    run holds the training set's frames x `input_dim` x 8 bytes more (0.48
+    MB for 1000 frames of 60 inputs, 12.7 MB for 3600 of 440); without
+    one the model input is the features array itself. Scoring splices each
+    group afresh (`evaluate`).
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")
+    examples = [(model_input(model.config, utt.features), utt.labels)
+                for utt in train_corpus.utterances]
     # every buffer training needs, made now in declared order: made on first
     # touch inside the first step, they would land among its temporaries
     for p in model.params.parameters():
@@ -358,9 +378,9 @@ def fit(
         )
         for batch in batches:
             for step_pieces in batch:
-                _train_step(model, train_corpus, step_pieces, lr, config)
-        train_ce, train_fer = evaluate(model, train_corpus)
-        valid_ce, valid_fer = evaluate(model, valid_corpus)
+                _train_step(model, examples, step_pieces, lr, config)
+        train_ce, train_fer = _evaluate_epoch(model, train_corpus, "training", epoch)
+        valid_ce, valid_fer = _evaluate_epoch(model, valid_corpus, "validation", epoch)
         stats = EpochStats(
             epoch=epoch,
             lr=lr,

@@ -584,7 +584,8 @@ def test_a_non_finite_epoch_loss_is_a_numeric_failure(tmp_path, capsys):
     assert run("train", str(cfg)) == 1
     said = capsys.readouterr()
     assert [line.split(":")[0] for line in said.out.splitlines()] == ["epoch 1", "epoch 2"]
-    assert said.err == "numeric failure: non-finite loss for utterance 'utt00000'\n"
+    assert said.err == ("numeric failure: non-finite loss for utterance 'utt00000' "
+                        "of the training set after epoch 3\n")
     assert len((tmp_path / "run" / "metrics.csv").read_text().splitlines()) == 3
 
 

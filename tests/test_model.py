@@ -39,7 +39,7 @@ from rmnlab.model import (
 )
 from rmnlab.model import _rows
 from rmnlab import model as model_mod
-from rmnlab.numerics import DimensionError, affine, relu, softmax_xent
+from rmnlab.numerics import DimensionError, Parameter, affine, relu, softmax_xent
 
 from reference_model import (grad_errors, named_grads, ref_backward, ref_forward, ref_grad_scale,
                              rel_max)
@@ -652,6 +652,60 @@ def test_trailing_partial_block_gets_no_shortcut():
     cache, _ = forward(params, cfg, x)
     # layers 4 and 5 are plain relu(sum)
     assert_shortcuts(cache, {3: 0})
+
+
+def pass_outputs(params, cfg, x, labels):
+    """The training logits, the gradients of one backward over them, and
+    the scoring logits of x: everything a wiring plan decides."""
+    params.zero_grads()
+    cache, logits = forward(params, cfg, x)
+    backward(params, cfg, cache, labels)
+    grads = [p.grad.copy() for p in params.parameters()]
+    return logits, grads, forward(params, cfg, x, lengths=[len(x)])
+
+
+def assert_same_outputs(a, b):
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
+    assert all(np.array_equal(g, h) for g, h in zip(a[1], b[1]))
+
+
+@pytest.mark.parametrize("name, value", [("residual_interval", 1), ("residual_interval", None),
+                                         ("delay_enabled", False)])
+def test_a_config_changed_between_calls_is_planned_afresh(name, value):
+    # the wiring is planned once and kept with the parameters, but an
+    # RMNConfig is mutable: the next call must follow a changed field
+    cfg = tiny_config(num_memory_layers=4, residual_interval=2)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (12, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 12)
+    before = pass_outputs(params, cfg, x, labels)
+    setattr(cfg, name, value)
+    fresh = RMNConfig(**vars(cfg))
+    after = pass_outputs(params, cfg, x, labels)
+    assert_same_outputs(after, pass_outputs(ready_params(fresh), fresh, x, labels))
+    assert not np.array_equal(after[0], before[0])
+
+
+@pytest.mark.parametrize("form", ["diagonal", "full"])
+def test_a_replaced_or_copied_shared_transform_is_planned_afresh(form):
+    cfg = tiny_config(direction="bi", shared_weight_form=form)
+    x = RNG.uniform(-2, 2, (12, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 12)
+    params = ready_params(cfg)
+    pass_outputs(params, cfg, x, labels)
+    # a deep copy, changed in place afterwards, reads its own values
+    copied, want = copy.deepcopy(params), ready_params(cfg)
+    copied.shared_future.value += 0.25
+    want.shared_future.value += 0.25
+    assert_same_outputs(pass_outputs(copied, cfg, x, labels), pass_outputs(want, cfg, x, labels))
+    # so does a transform given a new array, or a new Parameter
+    params.shared_past.value = params.shared_past.value * 2
+    want = ready_params(cfg)
+    want.shared_past.value *= 2
+    assert_same_outputs(pass_outputs(params, cfg, x, labels), pass_outputs(want, cfg, x, labels))
+    params.shared_future = Parameter(params.shared_future.value - 1, "shared_future")
+    want.shared_future.value -= 1
+    assert_same_outputs(pass_outputs(params, cfg, x, labels), pass_outputs(want, cfg, x, labels))
 
 
 def test_forward_input_errors():

@@ -31,6 +31,7 @@ from rmnlab.trainer import (
     make_minibatches,
     sgd_step,
 )
+from rmnlab import numerics as numerics_mod
 from rmnlab import trainer as trainer_mod
 from rmnlab.model import delay_span, forward, model_input, streaming_forward
 
@@ -433,8 +434,9 @@ def test_truncated_steps_match_the_reference_gradients(direction, chunk, monkeyp
         sgd_step(params, lr, momentum, l2)
 
     monkeypatch.setattr(trainer_mod, "sgd_step", checking_sgd_step)
+    examples = [(model_input(model.config, u.features), u.labels) for u in corpus.utterances]
     for step in steps:
-        trainer_mod._train_step(model, corpus, step, 0.05, TrainConfig())
+        trainer_mod._train_step(model, examples, step, 0.05, TrainConfig())
     assert len(checked) == -(-23 // chunk)
     assert all(len(pieces) == 2 for pieces in checked)
 
@@ -678,6 +680,80 @@ def test_fit_early_stop_callback():
     config = TrainConfig(max_epochs=10, base_lr=0.05, seed=0)
     stats = fit(model, train, valid, config, on_epoch=lambda s, m: s.epoch == 2)
     assert len(stats) == 2
+
+
+def test_a_non_finite_epoch_loss_names_the_set_and_the_epoch():
+    # fit checks the corpora once, before the first epoch; a NaN that
+    # appears later reaches the loss of the second epoch's validation scoring
+    model = small_model()
+    train = random_corpus(4, t_frames=12, seed=1)
+    valid = random_corpus(3, t_frames=12, seed=2)
+    recorded = []
+
+    def on_epoch(stats, _):
+        recorded.append(stats.epoch)
+        valid.utterances[1].features[3, 0] = np.nan
+
+    with pytest.raises(NumericError, match=r"^non-finite loss for utterance 'u1' "
+                                           r"of the validation set after epoch 2$"):
+        fit(model, train, valid, TrainConfig(max_epochs=4, base_lr=0.05, peak_lr=0.1), on_epoch)
+    assert recorded == [1]
+
+
+def test_fit_splices_each_training_utterance_once(monkeypatch):
+    # steps read the inputs fit spliced before the first epoch; scoring
+    # splices each group, passing its utterance lengths
+    model = small_model(input_dim=12, splice_left=1, splice_right=1)
+    train = random_corpus(5, t_frames=30, seed=1)
+    valid = random_corpus(2, t_frames=30, seed=2)
+    calls = {"step": 0, "scoring": 0}
+
+    def counting(config, features, lengths=None):
+        calls["step" if lengths is None else "scoring"] += 1
+        return model_input(config, features, lengths)
+
+    monkeypatch.setattr(trainer_mod, "model_input", counting)
+    fit(model, train, valid, TrainConfig(max_epochs=3, max_utts_per_batch=2, truncation_chunk=7))
+    # one group per set and epoch: 150 and 60 frames stay below _GROUP_ROWS
+    assert calls == {"step": len(train), "scoring": 3 * 2}
+
+
+@pytest.mark.parametrize("chunk", [None, 17])
+@pytest.mark.parametrize("form", ["diagonal", "full"])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+def test_fit_through_the_checked_numerics_is_the_same_run(direction, form, chunk, monkeypatch):
+    # the passes call the bodies of relu, relu_backward and diag_scale, whose
+    # public versions check their operands first; the checked functions
+    # must give the same parameters and statistics to the bit
+    def run(checked):
+        model = small_model(direction=direction, shared_weight_form=form, num_memory_layers=3,
+                            input_dim=8, splice_left=1)
+        train = random_corpus(5, t_frames=40, seed=1)
+        valid = random_corpus(2, t_frames=40, seed=2)
+        with monkeypatch.context() as patch:
+            for body, public in checked.items():
+                patch.setattr(model_mod, body, public)
+            stats = fit(model, train, valid, TrainConfig(max_epochs=3, base_lr=0.05, peak_lr=0.1,
+                                                         max_utts_per_batch=2, truncation_chunk=chunk))
+        return ([(s.epoch, s.lr, s.train_ce, s.valid_ce, s.train_fer, s.valid_fer) for s in stats],
+                [p.value for p in model.params.parameters()])
+
+    calls = dict.fromkeys(("relu", "relu_backward", "diag_scale"), 0)
+
+    def counting(name):
+        public = getattr(numerics_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return public(*args, **kwargs)
+        return wrapper
+
+    fast_stats, fast_values = run({})
+    slow_stats, slow_values = run({f"_{name}": counting(name) for name in calls})
+    assert calls["relu"] and calls["relu_backward"]
+    assert bool(calls["diag_scale"]) == (form == "diagonal")
+    assert fast_stats == slow_stats
+    assert all(np.array_equal(a, b) for a, b in zip(fast_values, slow_values))
 
 
 def test_fit_stops_when_rate_collapses():
