@@ -17,6 +17,7 @@ truncation inside an utterance).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import Field, dataclass, field, fields
 
@@ -265,6 +266,11 @@ class ForwardCache:
     after any shortcut. The taps enter `layer_sum` by the tap rule
     (`_add_taps`). `plan` is the wiring the forward ran (`_plan`), which
     `backward` follows.
+
+    With `pieces` = B > 1, x stacks B utterances of equal length, one after
+    another, and every other array stacks B pieces of the rows above, each
+    piece's rows in the same span. `buffers` are the forward's (see
+    `forward`), which `backward` writes into as well.
     """
 
     x: np.ndarray
@@ -278,18 +284,53 @@ class ForwardCache:
     logits: np.ndarray
     params_ref: ModelParams = field(repr=False, default=None)
     plan: _Plan = field(repr=False, default=None)
+    pieces: int = 1
+    buffers: _Buffers = field(repr=False, default=None)
+
+
+class _Buffers:
+    """Arrays a training run reuses from step to step (`trainer.fit`): each
+    name is a view of one flat buffer, which grows to the largest size asked
+    for. Without `reuse` (a plain `forward` or `backward` call), every array
+    is fresh, so a cache handed out stays valid after later calls."""
+
+    def __init__(self, reuse: bool = True):
+        self._flat: dict[str, np.ndarray] | None = {} if reuse else None
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised array of `shape`; under reuse, it overwrites
+        whatever the last array of this name held."""
+        if self._flat is None:
+            return np.empty(shape)
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+_FRESH = _Buffers(reuse=False)
+
+
+def _window(a: np.ndarray, pieces: int, i0: int, i1: int) -> np.ndarray:
+    """Rows i0..i1-1 of each of the `pieces` equal row blocks of the 2-D a,
+    as one 2-D array: a view where those rows lie together in a (one piece,
+    or every row of each), else a copy."""
+    return a.reshape(pieces, -1, a.shape[1])[:, i0:i1].reshape(-1, a.shape[1])
 
 
 def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of x; an index outside x gives a zero row, so a
-    tap that falls outside the utterance contributes nothing. A range
-    inside x comes back as a view."""
-    if start >= 0 and stop <= x.shape[0]:
-        return x[start:stop]
-    out = np.zeros((stop - start,) + x.shape[1:], dtype=x.dtype)
-    lo, hi = max(start, 0), min(stop, x.shape[0])
+    """Rows start..stop-1 of x, along its second-to-last axis (each piece's
+    rows in a (pieces, rows, width) view); an index outside x gives a zero
+    row, so a tap that falls outside the utterance contributes nothing. A
+    range inside x comes back as a view."""
+    n = x.shape[-2]
+    if start >= 0 and stop <= n:
+        return x[..., start:stop, :]
+    out = np.zeros(x.shape[:-2] + (stop - start, x.shape[-1]), dtype=x.dtype)
+    lo, hi = max(start, 0), min(stop, n)
     if lo < hi:
-        out[lo - start : hi - start] = x[lo:hi]
+        out[..., lo - start : hi - start, :] = x[..., lo:hi, :]
     return out
 
 
@@ -301,7 +342,7 @@ def _cut_edges(product: np.ndarray, d0: int, k: int, starts: list[int]) -> None:
     for s in starts:
         # the rows whose source lies across the edge at s: the k rows from s
         # for a past tap, the -k rows before s for a future one
-        product[max(0, min(s, s + k) - d0) : max(0, max(s, s + k) - d0)] = 0.0
+        product[..., max(0, min(s, s + k) - d0) : max(0, max(s, s + k) - d0), :] = 0.0
 
 
 def _wiring(
@@ -367,45 +408,44 @@ def _plan(params: ModelParams, config: RMNConfig) -> _Plan:
 def _tap_source(pre: np.ndarray, k: int, shared: np.ndarray, r0: int, r1: int):
     """(i0, i1, tap): the sources pre[t - k] of rows r0 + i0 .. r0 + i1 - 1
     of pre's numbering for the tap (shared, k), or None when no source row
-    of rows [r0, r1) lies in pre. A vector `shared` (diagonal form) gets the
-    rows whose source lies in pre, as a view; a matrix (full form) every
-    row, zero-padded."""
-    d0, d1 = max(r0, k), min(r1, len(pre) + k)
+    of rows [r0, r1) lies in pre. pre is a (pieces, rows, width) view, and
+    so is the tap. A vector `shared` (diagonal form) gets the rows whose
+    source lies in pre, as a view; a matrix (full form) every row,
+    zero-padded."""
+    d0, d1 = max(r0, k), min(r1, pre.shape[1] + k)
     if d0 >= d1:
         return None
     if shared.ndim == 1:
-        return d0 - r0, d1 - r0, pre[d0 - k : d1 - k]
+        return d0 - r0, d1 - r0, pre[:, d0 - k : d1 - k]
     return 0, r1 - r0, _rows(pre, r0 - k, r1 - k)
 
 
-def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int]) -> None:
-    """Add the delayed taps into z in place. z holds rows z0.. of pre's
-    numbering; row t gains shared(pre[t - k]) for each tap (shared, k) whose
-    source row lies in pre and, across the edges in `starts`, in row t's
-    utterance (`_cut_edges`). A vector `shared` scales columns, a matrix
-    multiplies rows.
+def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int], take) -> None:
+    """Add the delayed taps into z in place. z and pre are (pieces, rows,
+    width) views of one piece's rows each; z holds rows z0.. of pre's
+    numbering, and row t of each piece gains shared(pre[t - k]) of that
+    piece for each tap (shared, k) whose source row lies in pre and, across
+    the edges in `starts`, in row t's utterance (`_cut_edges`). A vector
+    `shared` scales columns, a matrix multiplies each piece's rows.
 
-    The tap rule of every pass: products first, then adds in tap order; the
-    sources come from `_tap_source`, views for the diagonal form and a
-    zero-padded tap of every z row for the full form (a product of fewer
-    rows need not round each row the same). Sums equal those of zero-padded
-    taps bit for bit; only the sign of an exact zero may differ."""
+    The tap rule of every pass: products first, each into `take`'s array
+    `tap<i>`, then adds in tap order; the sources come from `_tap_source`,
+    views for the diagonal form and a zero-padded tap of every z row for
+    the full form (a product of fewer rows need not round each row the
+    same). Sums equal those of zero-padded taps bit for bit; only the sign
+    of an exact zero may differ."""
     products = []
-    for shared, k in taps:
-        source = _tap_source(pre, k, shared, z0, z0 + len(z))
+    for i, (shared, k) in enumerate(taps):
+        source = _tap_source(pre, k, shared, z0, z0 + z.shape[1])
         if source is not None:
             i0, i1, tap = source
-            product = _diag_scale(tap, shared) if shared.ndim == 1 else tap @ shared
+            out = take(f"tap{i}", tap.shape[:2] + shared.shape[-1:])
+            product = (_diag_scale(tap, shared, out) if shared.ndim == 1
+                       else np.matmul(tap, shared, out=out))
             _cut_edges(product, z0 + i0, k, starts)
             products.append((i0, i1, product))
     for i0, i1, product in products:
-        z[i0:i1] += product
-
-
-def _affine_relu(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
-    """relu(affine(x, w, b)), the relu made in the affine's fresh output."""
-    h = affine(x, w.value, b.value)
-    return _relu(h, h)
+        z[:, i0:i1] += product
 
 
 def model_input(config: RMNConfig, features: np.ndarray, lengths=None) -> np.ndarray:
@@ -522,6 +562,8 @@ def forward(
     *,
     carry: Carry | None = None,
     lengths=None,
+    pieces: int = 1,
+    buffers: _Buffers | None = None,
 ) -> tuple[ForwardCache, np.ndarray] | np.ndarray:
     """Run the pipeline on one utterance, returning (cache, logits) for
     `backward`; with `carry` or `lengths`, an inference mode, the logits
@@ -541,6 +583,14 @@ def forward(
     therefore pass all of x they have; `rows` alone decides which of it a
     chunk needs.
 
+    `pieces` = B makes the training call one pass over a group: x stacks B
+    utterances of equal length, one after another, and `rows` applies to
+    each. Every stage array stacks the B pieces' rows the same way and is
+    read through a (B, rows, width) view: one batched GEMM per stage
+    (`affine`), whose every piece is the product the piece makes alone, and
+    one numpy call per tap and per relu. So each piece's logits and cache
+    rows are those of a call on it alone, bit for bit.
+
     `carry` makes x a prefix of a longer utterance, one context window (see
     `Carry` and `streaming_forward`): each stage then computes only the rows
     of its span that no earlier window finished, and the logits are
@@ -548,14 +598,22 @@ def forward(
 
     `lengths` switches to scoring: x stacks whole utterances of these frame
     counts, one after another, and every delayed tap reads only its own
-    utterance's rows (zero outside them), so each utterance's logit rows
-    are those of a pass over it alone. It takes neither `rows` nor `carry`.
+    utterance's rows (zero outside them). Its GEMMs are 2-D products over
+    the stacked rows, which may round a row in its last bits unlike a pass
+    over its utterance alone. It takes neither `rows`, `carry` nor `pieces`.
 
     Every mode runs one memory-layer body: a layer's relu input z is a copy
     of its pre-activation rows (in scoring, where nothing later reads them,
     the array itself), its taps are added into z by the tap rule
     (`_add_taps`), and the relu, in z but in training (which caches z), and
     the shortcut add follow.
+
+    `buffers` (a `_Buffers`, `trainer.fit`'s) receives every stage array,
+    relu input and tap product of the call and, through the cache, every
+    array of its `backward`, which writes its gradients over the cache
+    arrays it has finished reading: such a cache serves one `backward`,
+    and the next call with the same buffers overwrites it. Without buffers
+    every array is fresh, and a cache stays valid after later calls.
 
     The wiring, each layer's taps and shortcut, is planned once and kept
     with `params` (`_plan`). Only the training call, with neither `carry`
@@ -565,9 +623,13 @@ def forward(
     scoring = lengths is not None
     if scoring and (rows is not None or carry is not None):
         raise ValueError("stacked utterance lengths cannot be combined with rows or carry")
+    if pieces != 1 and (scoring or carry is not None):
+        raise ValueError("pieces cannot be combined with lengths or carry")
     training = not scoring and carry is None
     x = _checked_input(config, x)
-    t_frames = x.shape[0]
+    if pieces < 1 or x.shape[0] % pieces:
+        raise InputError(f"{x.shape[0]} frames do not split into {pieces} equal pieces")
+    t_frames = x.shape[0] // pieces
     starts = []
     if scoring:
         lengths = [int(n) for n in lengths]
@@ -587,8 +649,17 @@ def forward(
         first, keep = [a for a, _ in spans], lambda name, g, new: new
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
-    input_post = _affine_relu(x[first[0] : spans[0][1]], params.input_w, params.input_b)
-    outs = [keep("proj_post", 0, _affine_relu(input_post, params.proj_w, params.proj_b))]
+    take = (buffers or _FRESH).take
+
+    def stage(name: str, v: np.ndarray, w: Parameter, b: Parameter, relu: bool = False):
+        # affine(v, w, b) of the pieces, then any relu, in the buffer `name`
+        h = affine(v, w.value, b.value, pieces=pieces, out=take(name, (len(v), w.value.shape[1])))
+        return _relu(h, h) if relu else h
+
+    input_post = stage("input_post", _window(x, pieces, first[0], spans[0][1]), params.input_w,
+                       params.input_b, relu=True)
+    outs = [keep("proj_post", 0, stage("proj_post", input_post, params.proj_w, params.proj_b,
+                                       relu=True))]
     input_post = input_post if training else None  # only backward reads it
 
     plan = _plan(params, config)
@@ -597,29 +668,33 @@ def forward(
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
-        pre = keep(f"pre{l}", l, affine(outs[l][first[l] - a :], params.layer_w[l].value,
-                                        params.layer_b[l].value))
+        pre = keep(f"pre{l}", l, stage(f"pre{l}", outs[l][first[l] - a :], params.layer_w[l],
+                                        params.layer_b[l]))
+        pre3 = pre.reshape(pieces, -1, pre.shape[1])
         # in scoring every span is the whole group, and nothing else reads pre
-        z = pre if scoring else pre[f - a : d - a].copy()
-        _add_taps(z, pre, f - a, plan.taps[l], starts)
-        out = _relu(z) if training else _relu(z, z)
+        z = pre if scoring else take(f"sum{l}", (pieces * (d - f), pre.shape[1]))
+        z3 = z.reshape(pieces, -1, pre.shape[1])
+        if not scoring:
+            np.copyto(z3, pre3[:, f - a : d - a])
+        _add_taps(z3, pre3, f - a, plan.taps[l], starts, take)
+        out = _relu(z, take(f"out{l}", z.shape)) if training else _relu(z, z)
         if src is not None:
-            c = spans[src][0]
-            out += outs[src][f - c : d - c]
+            c, out3 = spans[src][0], out.reshape(z3.shape)
+            out3 += outs[src].reshape(pieces, -1, out.shape[1])[:, f - c : d - c]
         if training:
             layer_pre.append(pre)
             layer_sum.append(z)
         else:  # drop what no later stage or shortcut reads
-            pre = z = None
+            pre = z = pre3 = z3 = out3 = None
             for j in (l, src):
                 if j is not None and plan.last_reader[j] == l:
                     outs[j] = None
         outs.append(keep(f"out{l}", l + 1, out))
 
-    out1_post = _affine_relu(outs[-1], params.out1_w, params.out1_b)
+    out1_post = stage("out1_post", outs[-1], params.out1_w, params.out1_b, relu=True)
     if not training:
         outs = out = None
-    logits = affine(out1_post, params.out2_w.value, params.out2_b.value)
+    logits = stage("logits", out1_post, params.out2_w, params.out2_b)
     if not training:
         return logits
 
@@ -635,6 +710,8 @@ def forward(
         logits=logits,
         params_ref=params,
         plan=plan,
+        pieces=pieces,
+        buffers=buffers,
     ), logits
 
 
@@ -657,28 +734,44 @@ def backward(
     defaults to the rows the cache holds logits for, and must lie within
     them.
 
+    A cache of B pieces (`forward`'s `pieces`) takes the B utterances'
+    labels one after another, and `grad_window` applies to each. Each
+    piece's gradient is that of its own mean loss times `loss_scale`, and
+    the loss returned is the mean over every piece's window rows. Every
+    GEMM is one batched call over the pieces (`affine_backward`), and each
+    parameter receives the pieces' contributions one at a time in piece
+    order: the gradients are those of B calls on the pieces alone, one
+    after another, bit for bit.
+
     Every gradient row outside the window is zero, so every GEMM, relu and
     diagonal scale runs on the window rows only; the delayed taps read
     their `pre[t -/+ m]` values from the cache outside the window.
 
     The wiring is that of the forward that built the cache (its `plan`).
-    Only the products are computed. A memory layer's relu gradient g is a
-    fresh array (its incoming gradient may also be a shortcut's). Once the
-    shared transforms' weight gradients have read g, the adjoint of each
-    tap (S, k), the tap (S^T, -k) on g's rows, is added into g by the tap
-    rule (`_add_taps`). The weight gradients read their taps from
-    `_tap_source` as well: the column sum of tap × g for the diagonal form,
-    and `tap.T @ g` on the zero-padded tap for the full form, since a GEMM
-    with a shorter inner dimension rounds differently.
+    Only the products are computed. A memory layer's relu gradient g is
+    written into its own array (its incoming gradient may also be a
+    shortcut's). Once the shared transforms' weight gradients have read g,
+    the adjoint of each tap (S, k), the tap (S^T, -k) on g's rows, is added
+    into g by the tap rule (`_add_taps`). The weight gradients read their
+    taps from `_tap_source` as well: the column sum of tap × g for the
+    diagonal form, and `tap.T @ g` on the zero-padded tap for the full
+    form, since a GEMM with a shorter inner dimension rounds differently;
+    each layer's are kept until the pass ends, and then added piece by
+    piece, top layer down, as separate calls would add them.
     No copy of the relu gradient and no gradient at the input features is
-    built, and a weight's first product after `zero_grad` is written
-    straight into its grad buffer. A non-finite gradient reaching a relu
-    stays non-finite (`relu_backward`).
+    built, and a lone piece's weight product after `zero_grad` is written
+    straight into its grad buffer. Every array the pass makes comes from
+    the cache's buffers (see `forward`): a gradient takes the place of a
+    cache array the pass has read for the last time (the relu input of its
+    layer, a pre-activation the taps have read, a block's output once its
+    weight gradient has read it), and the tap and weight products have
+    arrays of their own. A non-finite gradient reaching a relu stays
+    non-finite (`relu_backward`).
     """
     if cache.params_ref is not params:
         raise ConsistencyError("cache was produced by a different ModelParams instance")
     labels = np.asarray(labels)
-    t_frames = cache.x.shape[0]
+    pieces, t_frames = cache.pieces, cache.x.shape[0]
     if labels.shape != (t_frames,):
         raise ConsistencyError(
             f"labels shape {labels.shape} does not match cached sequence of {t_frames} frames"
@@ -688,74 +781,102 @@ def backward(
     lo, hi = (r_lo, r_hi) if grad_window is None else grad_window
     if not (r_lo <= lo < hi <= r_hi):
         raise ValueError(f"grad_window {(lo, hi)} outside the cached logit rows {(r_lo, r_hi)}")
+    take = (cache.buffers or _FRESH).take
 
     def win(a: np.ndarray, start: int) -> np.ndarray:
-        # rows lo..hi-1 of an array whose first row is row `start`
-        return a[lo - start : hi - start]
+        # rows lo..hi-1 of each piece of an array whose first row is row `start`
+        return _window(a, pieces, lo - start, hi - start)
 
-    loss, g_logits = softmax_xent(win(cache.logits, r_lo), labels[lo:hi])
+    def grads(v: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str | None):
+        # the gradient at v goes to the buffer named `into`, whose cache array
+        # no later step reads (v's own, once the weight gradients have read v)
+        return _affine_grads(v, w, b, g, pieces, take, into)
+
+    def relu_grads(post: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str):
+        # the gradient at the input of the relu whose output post feeds (w, b),
+        # made in place in the buffer `into`
+        mask = post > 0.0  # read before post's buffer takes the gradient
+        g_post = grads(post, w, b, g, into)
+        return np.multiply(g_post, mask, out=g_post)
+
+    loss, g_logits = softmax_xent(win(cache.logits, r_lo), win(labels[:, None], 0)[:, 0], pieces)
     g_logits *= loss_scale
 
     # classifier block
-    g_out1_post = _affine_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits)
-    g_out1_pre = _relu_backward(win(cache.out1_post, r_lo), g_out1_post)
+    g_out1_pre = relu_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits,
+                            "out1_post")
     outs = [cache.proj_post] + cache.layer_out
     # g_outs[j]: the gradient at outs[j] from the readers of outs[j] walked so
     # far, the layer above it and any shortcut
-    g_outs = {len(outs) - 1: _affine_grads(
-        win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre)}
+    g_outs = {len(outs) - 1: grads(win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre,
+                                   f"out{len(outs) - 2}")}
     plan = cache.plan
-    for l, (taps, src) in reversed(list(enumerate(plan.wiring))):
+    # per tap i of every layer, the same shared transform's gradients: in
+    # parts[i][p, j] piece p's of the j-th layer with a tap source, top layer down
+    n_layers = len(plan.wiring)
+    shared = [s for s, _ in plan.wiring[0][0]] if n_layers else []
+    parts = [take(f"shared{i}", (pieces, n_layers) + s.value.shape) for i, s in enumerate(shared)]
+    counts = [0] * len(shared)
+    for l, (_, src) in reversed(list(enumerate(plan.wiring))):
         g_out = g_outs.pop(l + 1)
         if src is not None:
             g_outs[src] = g_out
         a, pre = spans[l][0], cache.layer_pre[l]
-        g_sum = _relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
-        for shared, k in taps:  # g_sum holds rows lo - a.. of pre's numbering
-            source = _tap_source(pre, k, shared.value, lo - a, hi - a)
+        # g_out may be a shortcut's too, so g_sum takes the layer's relu input's place
+        g_sum = _relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out,
+                               take(f"sum{l}", g_out.shape))
+        g3 = g_sum.reshape(pieces, -1, g_sum.shape[1])
+        pre3 = pre.reshape(pieces, -1, pre.shape[1])
+        for i, (s, k) in enumerate(plan.taps[l]):  # g3 holds rows lo - a.. of pre's numbering
+            source = _tap_source(pre3, k, s, lo - a, hi - a)
             if source is not None:
                 i0, i1, tap = source
-                if shared.value.ndim == 1:
-                    shared.accumulate((tap * g_sum[i0:i1]).sum(axis=0))
+                part = parts[i][:, counts[i]]
+                counts[i] += 1
+                if s.ndim == 1:
+                    product = np.multiply(tap, g3[:, i0:i1], out=take("tap0", tap.shape))
+                    np.add.reduce(product, axis=1, out=part)
                 else:
-                    _add_product(shared, tap.T, g_sum[i0:i1])
+                    np.matmul(tap.transpose(0, 2, 1), g3[:, i0:i1], out=part)
         # the adjoint of z[t] += S pre[t - k] is g[s] += S^T g[s + k] on the
         # window's rows (.T leaves a diagonal form's vector as it is)
-        _add_taps(g_sum, g_sum, 0, [(s.T, -k) for s, k in plan.taps[l]], [])
-        g_below = _affine_grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum)
+        _add_taps(g3, g3, 0, [(s.T, -k) for s, k in plan.taps[l]], [], take)
+        # the gradient at outs[l] takes the place of pre, read last by the taps
+        g_below = grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum, f"pre{l}")
         if l in g_outs:
             g_below += g_outs[l]
         g_outs[l] = g_below
+    for s, part, count in zip(shared, parts, counts):
+        for p in range(pieces):  # piece by piece, each top layer down
+            s.accumulate_pieces(part[p, :count], overwrite=s.value.ndim == 2)
 
     a = spans[0][0]
-    g_proj_pre = _relu_backward(win(cache.proj_post, a), g_outs[0])
-    g_input_post = _affine_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g_proj_pre)
-    g_input_pre = _relu_backward(win(cache.input_post, a), g_input_post)
-    _affine_grads(cache.x[lo:hi], params.input_w, params.input_b, g_input_pre, input_grad=False)
+    g_proj_pre = _relu_backward(win(cache.proj_post, a), g_outs[0], g_outs[0])
+    g_input_pre = relu_grads(win(cache.input_post, a), params.proj_w, params.proj_b, g_proj_pre,
+                             "input_post")
+    grads(win(cache.x, 0), params.input_w, params.input_b, g_input_pre, None)
     return loss
 
 
 def _affine_grads(
-    x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, input_grad: bool = True
+    x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, pieces: int, take,
+    into: str | None,
 ) -> np.ndarray | None:
-    """Accumulate the weight and bias gradients of `affine(x, w, b)` given
-    its output gradient g; returns the gradient at x (None without
-    `input_grad`)."""
-    out = w.grad_to_overwrite()
-    g_x, g_w, g_b = affine_backward(x, w.value, g, grad_w_out=out, input_grad=input_grad)
-    if out is None:
-        w.accumulate(g_w)
-    b.accumulate(g_b)
+    """Accumulate the weight and bias gradients of `affine(x, w, b,
+    pieces=pieces)` given its output gradient g, piece by piece in order;
+    returns the gradient at x, made in `take`'s array `into` (None without
+    `into`). The weight products go to `take`'s array `weight_grad`, but a
+    lone piece's product after `zero_grad` goes straight into the grad
+    buffer."""
+    grad = w.grad_to_overwrite() if pieces == 1 else None
+    out = grad if grad is not None else take("weight_grad", (pieces,) + w.value.shape)
+    g_x, g_w, g_b = affine_backward(
+        x, w.value, g, pieces=pieces, grad_w_out=out,
+        grad_x_out=None if into is None else take(into, x.shape), input_grad=into is not None)
+    if grad is None:
+        w.accumulate_pieces(g_w, overwrite=True)
+    b.accumulate_pieces(g_b)
     return g_x
-
-
-def _add_product(p: Parameter, a: np.ndarray, b: np.ndarray) -> None:
-    """Accumulate a @ b into p's gradient."""
-    out = p.grad_to_overwrite()
-    if out is None:
-        p.accumulate(a @ b)
-    else:
-        np.matmul(a, b, out=out)
 
 
 def check_gradients(
@@ -765,13 +886,16 @@ def check_gradients(
     labels,
     epsilon: float = 1e-5,
     corrupt: bool = False,
-) -> float:
+    checker=grad_check,
+):
     """Worst relative error of the analytic gradients on one batch.
 
     Runs forward+backward once to populate the gradients, then compares
-    every parameter entry against central finite differences of the loss.
-    `corrupt` deliberately damages one gradient entry first (negative
-    control for the verification tooling itself).
+    every parameter entry against central finite differences of the loss
+    with `checker` (`grad_check`, or `grad_check_resolved`, which also
+    counts the entries below the loss's resolution), and returns what it
+    returns. `corrupt` deliberately damages one gradient entry first
+    (negative control for the verification tooling itself).
     """
     params.zero_grads()
     cache, _ = forward(params, config, x)
@@ -782,7 +906,7 @@ def check_gradients(
     def loss_only():
         return xent_loss(forward(params, config, x, lengths=[len(x)]), labels)
 
-    return grad_check(loss_only, params.parameters(), epsilon)
+    return checker(loss_only, params.parameters(), epsilon)
 
 
 def param_count(config: RMNConfig) -> int:

@@ -19,6 +19,12 @@ The public functions check their operands. `relu`, `relu_backward` and
 `forward`'s input check and the corpus check have fixed every shape they
 see. `affine` and `affine_backward` keep their checks on every call, so
 each GEMM stays a call of a public function that a tracer can wrap.
+
+`affine`, `affine_backward` and `softmax_xent` take `pieces`: operands that
+stack that many equal row blocks, one after another, as a training step
+stacks its equal-shaped pieces. Every product is then one batched matmul
+over the (pieces, rows, width) view, which makes each block's product the
+GEMM the block makes alone, and each block's gradients stay its own.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "xent_loss",
     "xent_terms",
     "grad_check",
+    "grad_check_resolved",
 ]
 
 
@@ -96,6 +103,24 @@ class Parameter:
         self.grad += g
         self._grad_is_zero = False
 
+    def accumulate_pieces(self, parts: np.ndarray, overwrite: bool = False) -> None:
+        """Add parts[0], parts[1], ... into grad one at a time, in that order,
+        as one `accumulate` call each would; with `overwrite`, parts[0] is
+        written into a grad buffer that still holds only zeros instead (see
+        `grad_to_overwrite`)."""
+        if parts.shape[1:] != self.value.shape:
+            raise DimensionError(
+                f"parameter {self.name or '<unnamed>'}: gradient pieces of shape "
+                f"{parts.shape[1:]} do not match value shape {self.value.shape}"
+            )
+        grad = self.grad
+        if overwrite and self._grad_is_zero and len(parts):
+            np.copyto(grad, parts[0])
+            parts = parts[1:]
+        for part in parts:
+            grad += part
+        self._grad_is_zero = False
+
     def grad_to_overwrite(self) -> np.ndarray | None:
         """The grad buffer, for a contribution to be written into rather
         than added, when it still holds only the zeros `zero_grad` left;
@@ -126,8 +151,14 @@ def _as2d(x, what: str) -> np.ndarray:
     return x
 
 
-def affine(x, w, b) -> np.ndarray:
-    """Row-wise affine map: out[t] = x[t] @ w + b."""
+def affine(x, w, b, *, pieces: int = 1, out=None) -> np.ndarray:
+    """Row-wise affine map: out[t] = x[t] @ w + b, into `out` when given.
+
+    `pieces` splits x's rows into that many equal blocks, one after another,
+    and multiplies them by w in one batched matmul over the (pieces, rows,
+    width) view, so every block's product is the GEMM it would be alone: a
+    product over stacked rows need not round each row as its block's own
+    product does."""
     x = _as2d(x, "affine input")
     w = _as2d(w, "affine weight")
     b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -135,18 +166,28 @@ def affine(x, w, b) -> np.ndarray:
         raise DimensionError(f"affine: input shape {x.shape} incompatible with weight shape {w.shape}")
     if b.shape[0] != w.shape[1]:
         raise DimensionError(f"affine: bias shape {b.shape} incompatible with weight shape {w.shape}")
-    out = x @ w
+    x3 = _pieces(x, pieces, "affine input")
+    if out is None:
+        out = np.empty((x.shape[0], w.shape[1]))
+    np.matmul(x3, w, out=out.reshape(x3.shape[:2] + w.shape[1:]))
     out += b
     return out
 
 
-def affine_backward(x, w, grad_out, *, grad_w_out=None, input_grad: bool = True):
+def affine_backward(x, w, grad_out, *, pieces: int | None = None, grad_w_out=None,
+                    grad_x_out=None, input_grad: bool = True):
     """Gradients of `affine` w.r.t. input, weight and bias.
 
     Returns (grad_x, grad_w, grad_b). grad_w sums over all rows (time
     steps) of the sequence, so one call already aggregates the whole
-    utterance. With `grad_w_out`, grad_w is written into that array and
-    returned as it; with `input_grad` false, grad_x is not computed and
+    utterance. With `pieces`, x and grad_out stack that many equal row
+    blocks as `affine` takes them, every product is a batched matmul over
+    the blocks, and grad_w and grad_b come back per block, stacked on a
+    first axis of length `pieces`: block i's are those of a call on block i
+    alone. With `grad_w_out`, grad_w is written into that array and
+    returned as it, and likewise grad_x with `grad_x_out`, which may
+    share x's memory (grad_x is made after the other two read x); with
+    `input_grad` false, grad_x is not computed and
     comes back as None (the input block's input is data, which nothing
     differentiates).
     """
@@ -158,10 +199,25 @@ def affine_backward(x, w, grad_out, *, grad_w_out=None, input_grad: bool = True)
             f"affine_backward: output gradient shape {g.shape} does not match "
             f"forward output shape {(x.shape[0], w.shape[1])}"
         )
-    grad_x = g @ w.T if input_grad else None
-    grad_w = np.matmul(x.T, g, out=grad_w_out)
-    grad_b = g.sum(axis=0)
+    x3 = _pieces(x, pieces or 1, "affine input")
+    g3 = g.reshape(x3.shape[:2] + g.shape[1:])
+    out = None if grad_w_out is None else grad_w_out.reshape((len(x3),) + w.shape)
+    grad_w = np.matmul(x3.transpose(0, 2, 1), g3, out=out)
+    grad_b = g3.sum(axis=1)
+    grad_x = None
+    if input_grad:  # last, so that grad_x_out may share x's memory
+        grad_x = np.empty(x.shape) if grad_x_out is None else grad_x_out
+        np.matmul(g3, w.T, out=grad_x.reshape(x3.shape))
+    if pieces is None:  # one piece, its gradients unstacked
+        return grad_x, grad_w[0] if grad_w_out is None else grad_w_out, grad_b[0]
     return grad_x, grad_w, grad_b
+
+
+def _pieces(x: np.ndarray, pieces: int, what: str) -> np.ndarray:
+    """x's rows as a (pieces, rows, width) view: equal blocks, one after another."""
+    if pieces < 1 or x.shape[0] % pieces:
+        raise DimensionError(f"{what} of {x.shape[0]} rows does not split into {pieces} equal pieces")
+    return x.reshape(pieces, x.shape[0] // pieces, x.shape[1])
 
 
 def relu(x, out=None) -> np.ndarray:
@@ -173,42 +229,46 @@ def _relu(x: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x, grad_out) -> np.ndarray:
+def relu_backward(x, grad_out, out=None) -> np.ndarray:
     """Pass gradient where the pre-activation was strictly positive.
 
     The subgradient at exactly 0 is taken as 0. The gradient is masked by
-    multiplying it with `x > 0`, into a fresh array. For a finite gradient
-    that equals `np.where(x > 0, grad_out, 0)`, except that an inactive
-    unit keeps the sign of its gradient's zero (g * 0 = -0 for negative g).
-    A NaN or infinite gradient stays non-finite (NaN) at an inactive unit
-    instead of being zeroed, so a fault upstream is not hidden by a dead
-    unit.
+    multiplying it with `x > 0`, into `out` when given, else a fresh array.
+    For a finite gradient that equals `np.where(x > 0, grad_out, 0)`,
+    except that an inactive unit keeps the sign of its gradient's zero
+    (g * 0 = -0 for negative g). A NaN or infinite gradient stays
+    non-finite (NaN) at an inactive unit instead of being zeroed, so a
+    fault upstream is not hidden by a dead unit.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_out, dtype=np.float64)
     if x.shape != g.shape:
         raise DimensionError(f"relu_backward: shapes {x.shape} and {g.shape} differ")
-    return _relu_backward(x, g)
+    return _relu_backward(x, g, out)
 
 
-def _relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g * (x > 0.0)
+def _relu_backward(x: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(g, x > 0.0, out=out)
 
 
-def diag_scale(x, d_vec) -> np.ndarray:
-    """Per-column scaling: out[t, j] = x[t, j] * d_vec[j].
+def diag_scale(x, d_vec, out=None) -> np.ndarray:
+    """Per-column scaling: out[..., t, j] = x[..., t, j] * d_vec[j], into
+    `out` when given. x holds rows of columns, stacked on any leading axes
+    (a (pieces, rows, width) view of equal pieces, say).
 
     Equivalent to an affine map with a diagonal weight matrix and no bias.
     """
-    x = _as2d(x, "diag_scale input")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise DimensionError(f"diag_scale input must be at least 2-D, got shape {x.shape}")
     d = np.asarray(d_vec, dtype=np.float64).reshape(-1)
-    if d.shape[0] != x.shape[1]:
-        raise DimensionError(f"diag_scale: vector length {d.shape[0]} != column count {x.shape[1]}")
-    return _diag_scale(x, d)
+    if d.shape[0] != x.shape[-1]:
+        raise DimensionError(f"diag_scale: vector length {d.shape[0]} != column count {x.shape[-1]}")
+    return _diag_scale(x, d, out)
 
 
-def _diag_scale(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return x * d
+def _diag_scale(x: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(x, d, out=out)
 
 
 def diag_scale_backward(x, d_vec, grad_out):
@@ -265,18 +325,22 @@ def _xent(logits, labels, lengths=None):
     return log_norm - shifted[rows, y], shifted, log_norm, rows, y
 
 
-def softmax_xent(logits, labels):
+def softmax_xent(logits, labels, pieces: int = 1):
     """Mean per-frame cross-entropy and its gradient w.r.t. the logits.
 
     loss = (1/T) * sum_t -log softmax(logits[t])[labels[t]], computed with
     max-subtraction so huge logits cannot overflow. The returned gradient
-    is (softmax - onehot) / T.
+    is (softmax - onehot) / T. With `pieces`, the rows stack that many
+    pieces of T rows each: the gradient of each piece is that of its own
+    mean loss, (softmax - onehot) / T, and the loss is the mean over every
+    row.
     """
     terms, shifted, log_norm, rows, y = _xent(logits, labels)
+    _pieces(shifted, pieces, "logits")
     # the gradient is built in `shifted`, which `_xent` made for this call
     grad = np.exp(np.subtract(shifted, log_norm[:, None], out=shifted), out=shifted)
     grad[rows, y] -= 1.0
-    grad /= rows.shape[0]
+    grad /= rows.shape[0] // pieces
     return float(np.mean(terms)), grad
 
 
@@ -306,6 +370,36 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12) is returned.
     """
     worst = 0.0
+    for analytic, numeric in _gradient_pairs(f, params, epsilon):
+        worst = max(worst, _rel_error(analytic, numeric))
+    return worst
+
+
+def grad_check_resolved(f, params, epsilon: float = 1e-5) -> tuple[float, int]:
+    """`grad_check`, but an entry whose analytic and numeric values both lie
+    below the loss's finite-difference resolution, spacing(f()) / epsilon,
+    is counted as unresolved instead of compared: a central difference
+    cannot tell such a gradient from zero, so its relative error says
+    nothing. Returns (worst relative error over the other entries, number
+    of unresolved entries)."""
+    resolution = float(np.spacing(abs(f()))) / epsilon
+    worst, unresolved = 0.0, 0
+    for analytic, numeric in _gradient_pairs(f, params, epsilon):
+        if max(abs(analytic), abs(numeric)) < resolution:
+            unresolved += 1
+        else:
+            worst = max(worst, _rel_error(analytic, numeric))
+    return worst, unresolved
+
+
+def _rel_error(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+
+
+def _gradient_pairs(f, params, epsilon: float):
+    """(analytic, numeric) for every entry of every parameter, the numeric
+    value a central difference of f; a non-finite perturbed loss raises
+    NumericError."""
     for p in params:
         flat = p.value.reshape(-1)
         gflat = p.grad.reshape(-1)
@@ -320,8 +414,4 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
                 raise NumericError(
                     f"non-finite loss while perturbing {p.name or '<unnamed>'}[{i}]"
                 )
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            analytic = gflat[i]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-            worst = max(worst, rel)
-    return worst
+            yield float(gflat[i]), (f_plus - f_minus) / (2.0 * epsilon)

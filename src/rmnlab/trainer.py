@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import data as data_mod
-from .model import Model, RMNConfig, backward, forward, model_input, streaming_forward
+from .model import (Model, RMNConfig, _Buffers, backward, forward, model_input,
+                    streaming_forward)
 from .numerics import NumericError, xent_terms
 
 __all__ = [
@@ -206,38 +207,57 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
         p.zero_grad()
 
 
-def _train_step(model: Model, examples, step_pieces, lr, cfg: TrainConfig) -> None:
+def _train_step(model: Model, examples, step_pieces, lr, cfg: TrainConfig,
+                buffers: _Buffers | None = None) -> None:
     """One SGD step over `step_pieces`; `examples[i]` is the (model input,
-    labels) pair of utterance i."""
+    labels) pair of utterance i. Each run of consecutive pieces of one
+    shape, the same utterance length and chunk, is one group (`_groups`, at
+    most `_GROUP_ROWS` input rows): one `forward` and one `backward` call
+    over the pieces stacked, which add each piece's gradients, in piece
+    order, as a call per piece would. `buffers` receives the stacked input
+    and every array of the passes (see `forward`)."""
+    buffers = buffers or _Buffers(reuse=False)
     total_frames = sum(p.chunk_end - p.chunk_start for p in step_pieces)
-    for piece in step_pieces:
-        x, labels = examples[piece.utt_index]
-        rows = (piece.chunk_start, piece.chunk_end)
-        cache, _ = forward(model.params, model.config, x, rows=rows)
-        scale = (piece.chunk_end - piece.chunk_start) / total_frames
-        backward(model.params, model.config, cache, labels, loss_scale=scale, grad_window=rows)
+
+    def shape(piece):
+        return len(examples[piece.utt_index][1]), piece.chunk_start, piece.chunk_end
+
+    for group in _groups(step_pieces, _GROUP_ROWS, rows=lambda p: shape(p)[0], key=shape):
+        t_frames, lo, hi = shape(group[0])
+        inputs = [examples[p.utt_index][0] for p in group]
+        x = np.concatenate(inputs, out=buffers.take("x", (len(group) * t_frames, inputs[0].shape[1])))
+        labels = np.concatenate([examples[p.utt_index][1] for p in group])
+        cache, _ = forward(model.params, model.config, x, rows=(lo, hi), pieces=len(group),
+                           buffers=buffers)
+        backward(model.params, model.config, cache, labels, loss_scale=(hi - lo) / total_frames,
+                 grad_window=None if (lo, hi) == (0, t_frames) else (lo, hi))
     sgd_step(model.params, lr, cfg.momentum, cfg.l2)
 
 
-# Rows per scoring forward. On the OpenBLAS this was measured with, each row
-# of a stacked product rounds as it does for its utterance alone up to
-# about 1500 rows, where the behavioural models' 64 -> 11 classifier stops
-# doing so (ROADMAP, Measurements).
+# Input rows per scoring forward and per training group. A training group
+# stacks pieces of one shape, and each piece's products are the GEMMs it
+# makes alone; at paper widths (600-frame utterances) every piece stays a
+# group of its own, so a step holds one piece's stage arrays at a time.
+# Scoring stacks whole utterances in 2-D products, which can round a row's
+# last bits differently from a forward over its utterance alone (ROADMAP,
+# Measurements).
 _GROUP_ROWS = 1000
 
 
-def _groups(utterances, max_rows: int):
-    """Consecutive utterances in runs of at most `max_rows` frames; an
-    utterance longer than that forms a run of its own."""
-    group, rows = [], 0
-    for utt in utterances:
-        if group and rows + utt.num_frames > max_rows:
-            yield group
-            group, rows = [], 0
-        group.append(utt)
-        rows += utt.num_frames
-    if group:
-        yield group
+def _groups(items, max_rows: int, rows=lambda utt: utt.num_frames, key=lambda item: None):
+    """Consecutive items (utterances, by default) in runs of one `key` and
+    at most `max_rows` rows, `rows(item)` each; an item of more rows than
+    that forms a run of its own."""
+    run, total = [], 0
+    for item in items:
+        n = rows(item)
+        if run and (total + n > max_rows or key(item) != key(run[0])):
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
 
 
 def _score(model: Model, groups, logits_of) -> tuple[float, float]:
@@ -277,9 +297,13 @@ def evaluate(model: Model, corpus: data_mod.Corpus) -> tuple[float, float]:
     per group: one splice gather over the group's stacked features, one
     `forward` call in scoring mode (`lengths`), which keeps no training
     cache and adds the delayed taps in place, and one loss and argmax pass
-    over the stacked logits. Each utterance's logits, and so its loss, are
-    those of a forward over it alone. Argmax ties break toward the lowest
-    class index.
+    over the stacked logits. The group's GEMMs run over its stacked rows,
+    so an utterance's logits can differ in their last bits from those of a
+    forward over it alone (at the criterion-07 widths, 7 to 10 of 204
+    rows of twelve 17-frame utterances did), and the mean loss agrees with
+    the per-utterance losses' within a relative 1e-12
+    (`test_evaluate_is_frame_weighted`). Argmax ties break toward the
+    lowest class index.
     """
     return _score(
         model, _groups(corpus.utterances, _GROUP_ROWS),
@@ -350,16 +374,30 @@ def fit(
     that epoch is not recorded.
 
     Each training utterance is spliced into its model input once, before
-    the first epoch, and every step reads it from there: with a splice the
-    run holds the training set's frames x `input_dim` x 8 bytes more (0.48
-    MB for 1000 frames of 60 inputs, 12.7 MB for 3600 of 440); without
-    one the model input is the features array itself. Scoring splices each
-    group afresh (`evaluate`).
+    the first epoch, and every step and every scoring of the training set
+    reads it from there: with a splice the run holds the training set's
+    frames x `input_dim` x 8 bytes more (0.48 MB for 1000 frames of 60
+    inputs, 12.7 MB for 3600 of 440); without one the model input is the
+    features array itself. The training set is scored as a corpus of those
+    inputs, by the same parameters under the config without its splice;
+    the validation set is spliced group by group (`evaluate`).
+
+    A step runs each group of equal-shaped pieces as one `forward` and one
+    `backward` call (`_train_step`). An epoch's steps share one set of
+    buffers (`model._Buffers`): the stacked input, the stage arrays, relu
+    gradients, tap products and weight products, each sized by the most
+    rows any step asked for. They are dropped before the epoch's scoring,
+    whose arrays therefore do not add to theirs.
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")
     examples = [(model_input(model.config, utt.features), utt.labels)
                 for utt in train_corpus.utterances]
+    spliced = Model(replace(model.config, splice_left=0, splice_right=0), model.params)
+    train_inputs = data_mod.Corpus(
+        [data_mod.Utterance(utt.id, x, utt.labels)
+         for utt, (x, _) in zip(train_corpus.utterances, examples)],
+        model.config.input_dim, train_corpus.num_classes)
     # every buffer training needs, made now in declared order: made on first
     # touch inside the first step, they would land among its temporaries
     for p in model.params.parameters():
@@ -376,10 +414,12 @@ def fit(
             train_corpus, config.max_utts_per_batch, config.truncation_chunk,
             seed=(config.seed * 100003 + epoch),
         )
+        buffers = _Buffers()
         for batch in batches:
             for step_pieces in batch:
-                _train_step(model, examples, step_pieces, lr, config)
-        train_ce, train_fer = _evaluate_epoch(model, train_corpus, "training", epoch)
+                _train_step(model, examples, step_pieces, lr, config, buffers)
+        buffers = None
+        train_ce, train_fer = _evaluate_epoch(spliced, train_inputs, "training", epoch)
         valid_ce, valid_fer = _evaluate_epoch(model, valid_corpus, "validation", epoch)
         stats = EpochStats(
             epoch=epoch,

@@ -6,6 +6,7 @@ import contextlib
 import functools
 import io
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -159,6 +160,23 @@ def test_gradcheck_bi_full(capsys):
 def test_gradcheck_corrupt_control_fails(capsys):
     assert run("gradcheck", "--corrupt-gradient") == 1
     assert "gradcheck FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_counts_entries_below_the_loss_resolution_as_unresolved(capsys):
+    # at 40 layers the loss is about 20, so a central difference cannot see
+    # a gradient below spacing(20) / 1e-5, about 3.6e-10; one output weight's
+    # is 4.5e-12, and compared it read as relative error 1.0
+    assert run("gradcheck", "--layers", "40") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("max_rel_error ") and float(out[0].split()[1]) < 1e-4
+    assert re.fullmatch(r"unresolved [1-9]\d* entries below the loss's finite-difference resolution",
+                        out[1])
+    assert out[2] == "gradcheck PASS"
+
+
+def test_gradcheck_corrupt_control_fails_at_depth_too(capsys):
+    assert run("gradcheck", "--layers", "40", "--corrupt-gradient") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck FAIL"
 
 
 def run_warning_free(*argv):

@@ -922,9 +922,9 @@ def test_streaming_computes_each_row_once_given_enough_lookahead(chunk, directio
     weights = [params.input_w, params.proj_w, *params.layer_w, params.out1_w, params.out2_w]
     rows: dict[int, int] = {}
 
-    def counting_affine(v, w, b):
+    def counting_affine(v, w, b, **kwargs):
         rows[id(w)] = rows.get(id(w), 0) + v.shape[0]
-        return affine(v, w, b)
+        return affine(v, w, b, **kwargs)
 
     monkeypatch.setattr(model_mod, "affine", counting_affine)
     for lookahead in lookaheads:
@@ -1382,3 +1382,84 @@ def test_model_input_without_splice_is_identity():
     cfg = tiny_config()
     raw = RNG.normal(size=(5, cfg.input_dim))
     assert np.array_equal(model_input(cfg, raw), raw)
+
+
+# --- a group of equal-shaped pieces in one pass ------------------------------
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+@pytest.mark.parametrize("rows, window", [(None, None), ((4, 20), (6, 18)), ((0, 1), None)])
+def test_a_group_of_pieces_is_the_pieces_one_after_another_bit_for_bit(variant, rows, window):
+    # forward(pieces=B) and its backward give every piece's logits and cache
+    # rows, and the gradients of B calls on the pieces alone, in piece order
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    params = ready_params(cfg)
+    xs = [RNG.uniform(-2, 2, (30, cfg.input_dim)) for _ in range(3)]
+    labels = [RNG.integers(0, cfg.num_classes, 30) for _ in range(3)]
+    params.zero_grads()
+    alone = []
+    for x, y in zip(xs, labels):
+        cache, logits = forward(params, cfg, x, rows=rows)
+        alone.append((cache, logits))
+        backward(params, cfg, cache, y, loss_scale=0.3, grad_window=window)
+    want = [p.grad.copy() for p in params.parameters()]
+    params.zero_grads()
+    group, logits = forward(params, cfg, np.concatenate(xs), rows=rows, pieces=3)
+    for name in ("input_post", "proj_post", "out1_post", "logits"):
+        assert np.array_equal(getattr(group, name),
+                              np.concatenate([getattr(c, name) for c, _ in alone])), name
+    for name in ("layer_pre", "layer_sum", "layer_out"):
+        for l, got in enumerate(getattr(group, name)):
+            assert np.array_equal(got, np.concatenate([getattr(c, name)[l] for c, _ in alone]))
+    assert np.array_equal(logits, np.concatenate([lg for _, lg in alone]))
+    backward(params, cfg, group, np.concatenate(labels), loss_scale=0.3, grad_window=window)
+    for p, w in zip(params.parameters(), want, strict=True):
+        assert p.grad.tobytes() == w.tobytes(), p.name
+
+
+def test_pieces_must_split_the_input_evenly_and_train():
+    cfg = tiny_config()
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (10, cfg.input_dim))
+    with pytest.raises(InputError, match="10 frames do not split into 3 equal pieces"):
+        forward(params, cfg, x, pieces=3)
+    with pytest.raises(ValueError, match="pieces cannot be combined"):
+        forward(params, cfg, x, pieces=2, lengths=[5, 5])
+    cache, _ = forward(params, cfg, x, pieces=2)
+    with pytest.raises(ConsistencyError, match="cached sequence of 10 frames"):
+        backward(params, cfg, cache, np.zeros(5, dtype=np.int64))
+
+
+def test_a_plain_forward_cache_survives_later_calls():
+    # without buffers every array is fresh: a later forward and backward
+    # leave an earlier cache's gradients as they were
+    cfg = tiny_config(direction="bi")
+    params = ready_params(cfg)
+    x, other = RNG.uniform(-2, 2, (2, 20, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 20)
+    cache, logits = forward(params, cfg, x)
+    kept = logits.copy()
+    params.zero_grads()
+    backward(params, cfg, cache, labels)
+    want = [p.grad.copy() for p in params.parameters()]
+    later, _ = forward(params, cfg, other)
+    backward(params, cfg, later, labels)
+    params.zero_grads()
+    backward(params, cfg, cache, labels)
+    assert np.array_equal(cache.logits, kept)
+    assert all(np.array_equal(p.grad, w) for p, w in zip(params.parameters(), want))
+
+
+def test_buffers_hand_each_name_the_same_memory_from_call_to_call():
+    # fit's buffers: a second step's arrays overwrite the first's, so a
+    # cache built with them serves one backward
+    cfg = tiny_config()
+    params = ready_params(cfg)
+    buffers = model_mod._Buffers()
+    x = RNG.uniform(-2, 2, (24, cfg.input_dim))
+    first, _ = forward(params, cfg, x, pieces=2, buffers=buffers)
+    second, _ = forward(params, cfg, x[:12], pieces=2, buffers=buffers)
+    assert np.shares_memory(first.layer_pre[0], second.layer_pre[0])
+    assert np.shares_memory(first.logits, second.logits)
+    fresh, _ = forward(params, cfg, x, pieces=2)
+    assert not np.shares_memory(fresh.logits, second.logits)

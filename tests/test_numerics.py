@@ -16,6 +16,7 @@ from rmnlab.numerics import (
     diag_scale,
     diag_scale_backward,
     grad_check,
+    grad_check_resolved,
     relu,
     relu_backward,
     softmax_xent,
@@ -290,3 +291,54 @@ def test_grad_check_raises_on_nonfinite_loss():
 
     with pytest.raises(NumericError):
         grad_check(loss, [p])
+
+
+def test_grad_check_resolved_counts_what_a_central_difference_cannot_see():
+    # a loss of 1e6 + tiny terms: its floats are 1.2e-10 apart, so with
+    # epsilon 1e-5 a gradient below 1.2e-5 moves it by less than one step
+    p = Parameter(np.array([2.0, 1e-3, 3.0]), "w")
+    scale = np.array([1.0, 1e-3, 1.0])
+
+    def loss():
+        return 1e6 + float((scale * p.value ** 2).sum())
+
+    p.grad[...] = 2.0 * scale * p.value
+    assert grad_check(loss, [p]) > 0.5  # the tiny entry's 2e-6 reads as about 0
+    worst, unresolved = grad_check_resolved(loss, [p])
+    assert unresolved == 1 and worst < 1e-4
+    p.grad[0] += 1.0  # an error the difference can see still counts
+    assert grad_check_resolved(loss, [p])[0] > 1e-2
+
+
+@pytest.mark.parametrize("k, m", [(64, 11), (5, 3), (32, 32), (1024, 40)])
+@pytest.mark.parametrize("rows", [1, 7, 17])
+def test_batched_products_equal_each_pieces_own_bit_for_bit(k, m, rows):
+    # the guard for stacking a training step's pieces: with `pieces`, every
+    # GEMM is the one the piece makes alone, whatever the rows before it
+    # (a 2-D product over stacked rows need not round a row the same)
+    pieces = 3
+    x = RNG.normal(size=(pieces * rows, k))
+    w, b = RNG.normal(size=(k, m)), RNG.normal(size=m)
+    g = RNG.normal(size=(pieces * rows, m))
+    out = affine(x, w, b, pieces=pieces)
+    gx, gw, gb = affine_backward(x, w, g, pieces=pieces)
+    assert gw.shape == (pieces, k, m) and gb.shape == (pieces, m)
+    for i in range(pieces):
+        piece = slice(i * rows, (i + 1) * rows)
+        alone = affine(x[piece].copy(), w, b)
+        ax, aw, ab = affine_backward(x[piece].copy(), w, g[piece].copy())
+        assert out[piece].tobytes() == alone.tobytes()
+        assert gx[piece].tobytes() == ax.tobytes()
+        assert gw[i].tobytes() == aw.tobytes() and gb[i].tobytes() == ab.tobytes()
+
+
+def test_accumulate_pieces_adds_them_one_at_a_time_in_order():
+    parts = RNG.normal(size=(4, 3)) * np.array([[1.0], [1e16], [-1e16], [1.0]])
+    p = Parameter(np.zeros(3), "p")
+    p.accumulate_pieces(parts)
+    q = Parameter(np.zeros(3), "q")
+    for part in parts:
+        q.accumulate(part)
+    assert p.grad.tobytes() == q.grad.tobytes()
+    with pytest.raises(DimensionError):
+        p.accumulate_pieces(np.ones((2, 4)))

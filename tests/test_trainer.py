@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rmnlab import data as data_mod
 from rmnlab.data import Corpus, Utterance, gen_delayed_recall
 from rmnlab import model as model_mod
 from rmnlab.model import (
@@ -701,21 +702,25 @@ def test_a_non_finite_epoch_loss_names_the_set_and_the_epoch():
 
 
 def test_fit_splices_each_training_utterance_once(monkeypatch):
-    # steps read the inputs fit spliced before the first epoch; scoring
-    # splices each group, passing its utterance lengths
+    # steps and the training set's scoring read the inputs fit spliced
+    # before the first epoch; the validation set is spliced group by group
     model = small_model(input_dim=12, splice_left=1, splice_right=1)
     train = random_corpus(5, t_frames=30, seed=1)
     valid = random_corpus(2, t_frames=30, seed=2)
     calls = {"step": 0, "scoring": 0}
+    splice = data_mod.splice
 
-    def counting(config, features, lengths=None):
+    def counting(features, left, right, lengths=None):
         calls["step" if lengths is None else "scoring"] += 1
-        return model_input(config, features, lengths)
+        return splice(features, left, right, lengths)
 
-    monkeypatch.setattr(trainer_mod, "model_input", counting)
-    fit(model, train, valid, TrainConfig(max_epochs=3, max_utts_per_batch=2, truncation_chunk=7))
-    # one group per set and epoch: 150 and 60 frames stay below _GROUP_ROWS
-    assert calls == {"step": len(train), "scoring": 3 * 2}
+    monkeypatch.setattr(data_mod, "splice", counting)
+    stats = fit(model, train, valid,
+                TrainConfig(max_epochs=3, max_utts_per_batch=2, truncation_chunk=7))
+    # one validation group per epoch: 60 frames stay below _GROUP_ROWS
+    assert calls == {"step": len(train), "scoring": 3}
+    # the training set's scores are those of its raw features, spliced afresh
+    assert (stats[-1].train_ce, stats[-1].train_fer) == evaluate(model, train)
 
 
 @pytest.mark.parametrize("chunk", [None, 17])
@@ -754,6 +759,81 @@ def test_fit_through_the_checked_numerics_is_the_same_run(direction, form, chunk
     assert bool(calls["diag_scale"]) == (form == "diagonal")
     assert fast_stats == slow_stats
     assert all(np.array_equal(a, b) for a, b in zip(fast_values, slow_values))
+
+
+def per_piece_train_step(model, examples, step_pieces, lr, cfg, buffers=None):
+    """The training step as one forward and one backward call per piece, in
+    piece order, each on its own utterance: the oracle of `_train_step`'s
+    groups."""
+    from rmnlab.model import backward
+
+    total = sum(p.chunk_end - p.chunk_start for p in step_pieces)
+    for piece in step_pieces:
+        x, labels = examples[piece.utt_index]
+        rows = (piece.chunk_start, piece.chunk_end)
+        cache, _ = forward(model.params, model.config, x, rows=rows)
+        backward(model.params, model.config, cache, labels, loss_scale=(rows[1] - rows[0]) / total,
+                 grad_window=rows)
+    trainer_mod.sgd_step(model.params, lr, cfg.momentum, cfg.l2)
+
+
+@pytest.mark.parametrize("chunk", [None, 17, 5])
+@pytest.mark.parametrize("form", ["diagonal", "full"])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("residual, splice", [(2, 1), (None, 0)])
+def test_fit_in_groups_is_the_per_piece_run_bit_for_bit(direction, form, chunk, residual, splice,
+                                                        monkeypatch):
+    # utterances of uneven lengths, so that steps mix groups of several
+    # pieces with lone ones
+    rng = np.random.default_rng(8)
+    lengths = [30, 30, 30, 30, 23, 30, 41, 41, 9, 30, 30, 1]
+    train = Corpus([Utterance(f"u{i}", rng.normal(size=(n, 4)), rng.integers(0, 3, n))
+                    for i, n in enumerate(lengths)], 4, 3)
+    valid = random_corpus(3, t_frames=20, seed=2)
+    config = TrainConfig(max_epochs=3, base_lr=0.05, peak_lr=0.1, max_utts_per_batch=5,
+                         truncation_chunk=chunk)
+    groups = []
+    forward_ = trainer_mod.forward
+
+    def counting(*args, pieces=1, **kwargs):
+        if "lengths" not in kwargs:  # a step's group, not a scoring call
+            groups.append(pieces)
+        return forward_(*args, pieces=pieces, **kwargs)
+
+    def run(step):
+        model = small_model(direction=direction, shared_weight_form=form, residual_interval=residual,
+                            num_memory_layers=3, input_dim=4 * (1 + 2 * splice),
+                            splice_left=splice, splice_right=splice)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_mod, "_train_step", step)
+            patch.setattr(trainer_mod, "forward", counting)
+            stats = fit(model, train, valid, config)
+        return ([(s.epoch, s.lr, s.train_ce, s.valid_ce, s.train_fer, s.valid_fer) for s in stats],
+                [a.tobytes() for p in model.params.parameters() for a in (p.value, p.velocity)])
+
+    grouped = run(trainer_mod._train_step)
+    assert max(groups) > 1 and min(groups) == 1
+    assert run(per_piece_train_step) == grouped
+
+
+def test_a_training_group_holds_at_most_group_rows_of_input(monkeypatch):
+    # pieces of one shape in a row form groups of up to _GROUP_ROWS input
+    # rows; a shape change starts a new group
+    model = small_model()
+    seen = []
+    forward_ = trainer_mod.forward
+
+    def recording(params, config, x, *args, pieces=1, **kwargs):
+        seen.append((len(x) // pieces, pieces))
+        return forward_(params, config, x, *args, pieces=pieces, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "forward", recording)
+    monkeypatch.setattr(trainer_mod, "_GROUP_ROWS", 100)
+    lengths = [30, 30, 30, 30, 20, 20, 30]
+    examples = [(RNG.normal(size=(n, 4)), RNG.integers(0, 3, n)) for n in lengths]
+    step = [BatchPiece(i, 0, n) for i, n in enumerate(lengths)]
+    trainer_mod._train_step(model, examples, step, 0.0, TrainConfig())
+    assert seen == [(30, 3), (30, 1), (20, 2), (30, 1)]
 
 
 def test_fit_stops_when_rate_collapses():
