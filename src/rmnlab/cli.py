@@ -225,6 +225,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value, least in (("--seed", args.seed, 0), ("--frames", args.frames, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     config = RMNConfig(
         input_dim=6,
         num_memory_layers=args.layers,

@@ -283,27 +283,26 @@ def mean_var_normalize(corpus: Corpus, eps: float = 1e-12) -> Corpus:
     return Corpus(utts, corpus.feature_dim, corpus.num_classes)
 
 
-def _uniform_classes(rng, k: int, t_frames: int) -> np.ndarray:
-    return rng.integers(0, k, size=t_frames)
-
-
-def _require_positive(**args: int) -> None:
-    """Raise ValueError naming the first generator argument below 1."""
+def _require_in_range(seed: int, **args: int) -> None:
+    """Raise ValueError naming the first generator argument below 1, or a
+    seed below 0."""
     for name, value in args.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _gen_recall(k: int, delay: int, t_frames: int, n_utts: int, seed: int, ahead: bool) -> Corpus:
     """Both recall tasks: label(t) is the class shown `delay` frames before
     t, or after t when `ahead`; frames without a target get class k."""
-    _require_positive(classes=k, frames=t_frames, count=n_utts)
+    _require_in_range(seed, classes=k, frames=t_frames, count=n_utts)
     if not 0 <= delay < t_frames:
         raise ValueError(f"delay must be >= 0 and < frames ({t_frames}), got {delay}")
     rng = np.random.default_rng(seed)
     utts = []
     for n in range(n_utts):
-        classes = _uniform_classes(rng, k, t_frames)
+        classes = rng.integers(0, k, size=t_frames)
         feats = np.zeros((t_frames, k))
         feats[np.arange(t_frames), classes] = 1.0
         labels = np.full(t_frames, k, dtype=np.int64)
@@ -336,7 +335,7 @@ def gen_parity(window_w: int, t_frames: int, n_utts: int, seed: int) -> Corpus:
     Features are single-dimension +/-1 frames; label(t) is the count of +1
     frames in the last `window_w` positions (clipped at the start), mod 2.
     """
-    _require_positive(window=window_w, frames=t_frames, count=n_utts)
+    _require_in_range(seed, window=window_w, frames=t_frames, count=n_utts)
     rng = np.random.default_rng(seed)
     utts = []
     for n in range(n_utts):

@@ -168,8 +168,6 @@ class ModelParams:
     unset, for a checkpoint reader to fill.
     """
 
-    _plan = None  # the wiring plan of the latest forward (`_plan`)
-
     def __init__(self, config: RMNConfig, rng: np.random.Generator | None):
         c = config
 
@@ -264,8 +262,8 @@ class ForwardCache:
     each layer's own affine output (the tap source), `layer_sum` the relu
     input after the delayed taps (the layer's mask), `layer_out` the value
     after any shortcut. The taps enter `layer_sum` by the tap rule
-    (`_add_taps`). `plan` is the wiring the forward ran (`_plan`), which
-    `backward` follows.
+    (`_add_taps`). `wiring` is the wiring the forward worked out and ran
+    (`_wiring`), which `backward` follows.
 
     With `pieces` = B > 1, x stacks B utterances of equal length, one after
     another, and every other array stacks B pieces of the rows above, each
@@ -283,7 +281,7 @@ class ForwardCache:
     out1_post: np.ndarray
     logits: np.ndarray
     params_ref: ModelParams = field(repr=False, default=None)
-    plan: _Plan = field(repr=False, default=None)
+    wiring: list = field(repr=False, default=None)
     pieces: int = 1
     buffers: _Buffers = field(repr=False, default=None)
 
@@ -291,17 +289,14 @@ class ForwardCache:
 class _Buffers:
     """Arrays a training run reuses from step to step (`trainer.fit`): each
     name is a view of one flat buffer, which grows to the largest size asked
-    for. Without `reuse` (a plain `forward` or `backward` call), every array
-    is fresh, so a cache handed out stays valid after later calls."""
+    for."""
 
-    def __init__(self, reuse: bool = True):
-        self._flat: dict[str, np.ndarray] | None = {} if reuse else None
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised array of `shape`; under reuse, it overwrites
-        whatever the last array of this name held."""
-        if self._flat is None:
-            return np.empty(shape)
+        """An uninitialised array of `shape`, which overwrites whatever the
+        last array of this name held."""
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
@@ -309,7 +304,11 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-_FRESH = _Buffers(reuse=False)
+def _take(buffers: _Buffers | None):
+    """The `take` of a pass: `buffers.take`, or without buffers a fresh
+    array on every call, so a cache handed out stays valid after later
+    calls."""
+    return (lambda name, shape: np.empty(shape)) if buffers is None else buffers.take
 
 
 def _window(a: np.ndarray, pieces: int, i0: int, i1: int) -> np.ndarray:
@@ -368,41 +367,6 @@ def _wiring(
          l + 1 - n if n is not None and (l + 1) % n == 0 else None)
         for l in range(config.num_memory_layers)
     ]
-
-
-@dataclass
-class _Plan:
-    """`_wiring` and what the passes read of it, decided once per (params,
-    config) by `_plan`: per memory layer its taps as (shared value, k), and
-    per outs[j] the last layer that reads it, itself or by shortcut."""
-
-    key: tuple  # the config fields the wiring reads
-    shared: list  # each shared transform's Parameter and value array
-    wiring: list[tuple[list[tuple[Parameter, int]], int | None]]
-    taps: list[list[tuple[np.ndarray, int]]]
-    last_reader: list[int]
-
-
-def _plan(params: ModelParams, config: RMNConfig) -> _Plan:
-    """The plan of params under config, kept on params: remade when a config
-    field the wiring reads has changed (an RMNConfig is mutable), or a shared
-    transform is another Parameter or array."""
-    key = (config.num_memory_layers, config.direction, config.delay_enabled,
-           config.residual_interval)
-    shared = [a for p in (params.shared_past, params.shared_future) if p is not None
-              for a in (p, p.value)]
-    plan = params._plan
-    if (plan is not None and plan.key == key and len(plan.shared) == len(shared)
-            and all(a is b for a, b in zip(plan.shared, shared))):
-        return plan
-    wiring = _wiring(params, config)
-    last_reader = list(range(len(wiring)))
-    for l, (_, src) in enumerate(wiring):
-        if src is not None:
-            last_reader[src] = l
-    taps = [[(s.value, k) for s, k in layer_taps] for layer_taps, _ in wiring]
-    params._plan = _Plan(key, shared, wiring, taps, last_reader)
-    return params._plan
 
 
 def _tap_source(pre: np.ndarray, k: int, shared: np.ndarray, r0: int, r1: int):
@@ -615,10 +579,12 @@ def forward(
     and the next call with the same buffers overwrites it. Without buffers
     every array is fresh, and a cache stays valid after later calls.
 
-    The wiring, each layer's taps and shortcut, is planned once and kept
-    with `params` (`_plan`). Only the training call, with neither `carry`
-    nor `lengths`, builds a cache. The inference modes keep no stage array for a backward pass: one
-    is dropped once no later stage or shortcut reads it.
+    The wiring, each layer's taps and shortcut, is worked out on each call
+    (`_wiring`), and each tap reads its shared transform's values as the
+    taps are added. Only the training call, with neither `carry` nor
+    `lengths`, builds a cache, which carries the wiring to `backward`. The
+    inference modes keep no stage array for a backward pass: one is dropped
+    once no later stage or shortcut reads it.
     """
     scoring = lengths is not None
     if scoring and (rows is not None or carry is not None):
@@ -649,7 +615,7 @@ def forward(
         first, keep = [a for a, _ in spans], lambda name, g, new: new
     else:
         first, keep = carry.start(config, spans, t_frames), carry.keep
-    take = (buffers or _FRESH).take
+    take = _take(buffers)
 
     def stage(name: str, v: np.ndarray, w: Parameter, b: Parameter, relu: bool = False):
         # affine(v, w, b) of the pieces, then any relu, in the buffer `name`
@@ -662,9 +628,13 @@ def forward(
                                        relu=True))]
     input_post = input_post if training else None  # only backward reads it
 
-    plan = _plan(params, config)
+    wiring = _wiring(params, config)
+    last_reader = list(range(len(wiring)))  # per outs[j], the last layer that reads it
+    for l, (_, src) in enumerate(wiring):
+        if src is not None:
+            last_reader[src] = l
     layer_pre, layer_sum = [], []
-    for l, (_, src) in enumerate(plan.wiring):
+    for l, (taps, src) in enumerate(wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
@@ -676,7 +646,7 @@ def forward(
         z3 = z.reshape(pieces, -1, pre.shape[1])
         if not scoring:
             np.copyto(z3, pre3[:, f - a : d - a])
-        _add_taps(z3, pre3, f - a, plan.taps[l], starts, take)
+        _add_taps(z3, pre3, f - a, [(s.value, k) for s, k in taps], starts, take)
         out = _relu(z, take(f"out{l}", z.shape)) if training else _relu(z, z)
         if src is not None:
             c, out3 = spans[src][0], out.reshape(z3.shape)
@@ -687,7 +657,7 @@ def forward(
         else:  # drop what no later stage or shortcut reads
             pre = z = pre3 = z3 = out3 = None
             for j in (l, src):
-                if j is not None and plan.last_reader[j] == l:
+                if j is not None and last_reader[j] == l:
                     outs[j] = None
         outs.append(keep(f"out{l}", l + 1, out))
 
@@ -709,7 +679,7 @@ def forward(
         out1_post=out1_post,
         logits=logits,
         params_ref=params,
-        plan=plan,
+        wiring=wiring,
         pieces=pieces,
         buffers=buffers,
     ), logits
@@ -747,12 +717,13 @@ def backward(
     diagonal scale runs on the window rows only; the delayed taps read
     their `pre[t -/+ m]` values from the cache outside the window.
 
-    The wiring is that of the forward that built the cache (its `plan`).
-    Only the products are computed. A memory layer's relu gradient g is
-    written into its own array (its incoming gradient may also be a
-    shortcut's). Once the shared transforms' weight gradients have read g,
-    the adjoint of each tap (S, k), the tap (S^T, -k) on g's rows, is added
-    into g by the tap rule (`_add_taps`). The weight gradients read their
+    The wiring is that of the forward that built the cache (its `wiring`);
+    nothing of `config` is read for it, so a config changed since that
+    forward changes nothing here. Only the products are computed. A memory
+    layer's relu gradient g is written into its own array (its incoming
+    gradient may also be a shortcut's). Once the shared transforms' weight
+    gradients have read g, the adjoint of each tap (S, k), the tap (S^T, -k)
+    on g's rows, is added into g by the tap rule (`_add_taps`). The weight gradients read their
     taps from `_tap_source` as well: the column sum of tap × g for the
     diagonal form, and `tap.T @ g` on the zero-padded tap for the full
     form, since a GEMM with a shorter inner dimension rounds differently;
@@ -781,16 +752,28 @@ def backward(
     lo, hi = (r_lo, r_hi) if grad_window is None else grad_window
     if not (r_lo <= lo < hi <= r_hi):
         raise ValueError(f"grad_window {(lo, hi)} outside the cached logit rows {(r_lo, r_hi)}")
-    take = (cache.buffers or _FRESH).take
+    take = _take(cache.buffers)
 
     def win(a: np.ndarray, start: int) -> np.ndarray:
         # rows lo..hi-1 of each piece of an array whose first row is row `start`
         return _window(a, pieces, lo - start, hi - start)
 
     def grads(v: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str | None):
-        # the gradient at v goes to the buffer named `into`, whose cache array
-        # no later step reads (v's own, once the weight gradients have read v)
-        return _affine_grads(v, w, b, g, pieces, take, into)
+        # the weight and bias gradients of affine(v, w, b) given its output
+        # gradient g, accumulated piece by piece in order. The gradient at v
+        # goes to the buffer named `into` (None: not made), whose cache array
+        # no later step reads (v's own, once the weight gradients have read
+        # v). The weight products go to `weight_grad`, but a lone piece's
+        # product after `zero_grad` goes straight into the grad buffer.
+        grad = w.grad_to_overwrite() if pieces == 1 else None
+        out = grad if grad is not None else take("weight_grad", (pieces,) + w.value.shape)
+        g_v, g_w, g_b = affine_backward(
+            v, w.value, g, pieces=pieces, grad_w_out=out,
+            grad_x_out=None if into is None else take(into, v.shape), input_grad=into is not None)
+        if grad is None:
+            w.accumulate_pieces(g_w, overwrite=True)
+        b.accumulate_pieces(g_b)
+        return g_v
 
     def relu_grads(post: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str):
         # the gradient at the input of the relu whose output post feeds (w, b),
@@ -810,14 +793,14 @@ def backward(
     # far, the layer above it and any shortcut
     g_outs = {len(outs) - 1: grads(win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre,
                                    f"out{len(outs) - 2}")}
-    plan = cache.plan
+    wiring = cache.wiring
     # per tap i of every layer, the same shared transform's gradients: in
     # parts[i][p, j] piece p's of the j-th layer with a tap source, top layer down
-    n_layers = len(plan.wiring)
-    shared = [s for s, _ in plan.wiring[0][0]] if n_layers else []
-    parts = [take(f"shared{i}", (pieces, n_layers) + s.value.shape) for i, s in enumerate(shared)]
+    shared = [s for s, _ in wiring[0][0]]
+    parts = [take(f"shared{i}", (pieces, len(wiring)) + s.value.shape)
+             for i, s in enumerate(shared)]
     counts = [0] * len(shared)
-    for l, (_, src) in reversed(list(enumerate(plan.wiring))):
+    for l, (layer_taps, src) in reversed(list(enumerate(wiring))):
         g_out = g_outs.pop(l + 1)
         if src is not None:
             g_outs[src] = g_out
@@ -827,7 +810,8 @@ def backward(
                                take(f"sum{l}", g_out.shape))
         g3 = g_sum.reshape(pieces, -1, g_sum.shape[1])
         pre3 = pre.reshape(pieces, -1, pre.shape[1])
-        for i, (s, k) in enumerate(plan.taps[l]):  # g3 holds rows lo - a.. of pre's numbering
+        taps = [(s.value, k) for s, k in layer_taps]
+        for i, (s, k) in enumerate(taps):  # g3 holds rows lo - a.. of pre's numbering
             source = _tap_source(pre3, k, s, lo - a, hi - a)
             if source is not None:
                 i0, i1, tap = source
@@ -840,7 +824,7 @@ def backward(
                     np.matmul(tap.transpose(0, 2, 1), g3[:, i0:i1], out=part)
         # the adjoint of z[t] += S pre[t - k] is g[s] += S^T g[s + k] on the
         # window's rows (.T leaves a diagonal form's vector as it is)
-        _add_taps(g3, g3, 0, [(s.T, -k) for s, k in plan.taps[l]], [], take)
+        _add_taps(g3, g3, 0, [(s.T, -k) for s, k in taps], [], take)
         # the gradient at outs[l] takes the place of pre, read last by the taps
         g_below = grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum, f"pre{l}")
         if l in g_outs:
@@ -856,27 +840,6 @@ def backward(
                              "input_post")
     grads(win(cache.x, 0), params.input_w, params.input_b, g_input_pre, None)
     return loss
-
-
-def _affine_grads(
-    x: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, pieces: int, take,
-    into: str | None,
-) -> np.ndarray | None:
-    """Accumulate the weight and bias gradients of `affine(x, w, b,
-    pieces=pieces)` given its output gradient g, piece by piece in order;
-    returns the gradient at x, made in `take`'s array `into` (None without
-    `into`). The weight products go to `take`'s array `weight_grad`, but a
-    lone piece's product after `zero_grad` goes straight into the grad
-    buffer."""
-    grad = w.grad_to_overwrite() if pieces == 1 else None
-    out = grad if grad is not None else take("weight_grad", (pieces,) + w.value.shape)
-    g_x, g_w, g_b = affine_backward(
-        x, w.value, g, pieces=pieces, grad_w_out=out,
-        grad_x_out=None if into is None else take(into, x.shape), input_grad=into is not None)
-    if grad is None:
-        w.accumulate_pieces(g_w, overwrite=True)
-    b.accumulate_pieces(g_b)
-    return g_x
 
 
 def check_gradients(

@@ -216,7 +216,7 @@ def _train_step(model: Model, examples, step_pieces, lr, cfg: TrainConfig,
     over the pieces stacked, which add each piece's gradients, in piece
     order, as a call per piece would. `buffers` receives the stacked input
     and every array of the passes (see `forward`)."""
-    buffers = buffers or _Buffers(reuse=False)
+    buffers = buffers or _Buffers()
     total_frames = sum(p.chunk_end - p.chunk_start for p in step_pieces)
 
     def shape(piece):

@@ -88,6 +88,7 @@ def test_gen_rejects_impossible_delay(tmp_path):
     ("parity", "--delay", "-5"),
     ("delayed-recall", "--window", "3"),
     ("future-recall", "--window", "0"),
+    ("parity", "--seed", "-1"),
 ])
 def test_gen_rejects_out_of_range_argument_by_name(tmp_path, capsys, task, flag, value):
     # numpy's own message ("high <= 0", "negative dimensions ...") or an
@@ -172,6 +173,16 @@ def test_gradcheck_counts_entries_below_the_loss_resolution_as_unresolved(capsys
     assert re.fullmatch(r"unresolved [1-9]\d* entries below the loss's finite-difference resolution",
                         out[1])
     assert out[2] == "gradcheck PASS"
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--frames", "-3"), ("--frames", "0")])
+def test_gradcheck_rejects_out_of_range_argument_by_name(capsys, flag, value):
+    # numpy's own message ("expected non-negative integer", "negative
+    # dimensions ...") or "empty sequence" would not name the flag
+    assert run("gradcheck", flag, value) == 2
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert f"{flag} must be >= " in said.err
 
 
 def test_gradcheck_corrupt_control_fails_at_depth_too(capsys):

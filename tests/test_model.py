@@ -686,6 +686,26 @@ def test_a_config_changed_between_calls_is_planned_afresh(name, value):
     assert not np.array_equal(after[0], before[0])
 
 
+@pytest.mark.parametrize("name, value", [("residual_interval", 1), ("residual_interval", None),
+                                         ("delay_enabled", False)])
+def test_backward_follows_the_wiring_of_the_forward_that_built_its_cache(name, value):
+    # the cache carries its forward's wiring: a field changed on the same
+    # RMNConfig between forward and backward does not reach the gradients
+    cfg = tiny_config(num_memory_layers=4, residual_interval=2)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (12, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 12)
+    want = pass_outputs(params, cfg, x, labels)[1]
+    params.zero_grads()
+    cache, _ = forward(params, cfg, x)
+    setattr(cfg, name, value)
+    backward(params, cfg, cache, labels)
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params.parameters(), want))
+    # the changed field does change the gradients of a pass that follows it
+    changed = pass_outputs(params, cfg, x, labels)[1]
+    assert not all(np.array_equal(g, h) for g, h in zip(changed, want))
+
+
 @pytest.mark.parametrize("form", ["diagonal", "full"])
 def test_a_replaced_or_copied_shared_transform_is_planned_afresh(form):
     cfg = tiny_config(direction="bi", shared_weight_form=form)
