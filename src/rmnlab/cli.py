@@ -162,6 +162,17 @@ def _collect_overrides(args) -> dict[str, str]:
     return {k: v for k, v in vars(args).items() if k in EXPERIMENT_KEYS and v is not None}
 
 
+def _check_least(*checks) -> None:
+    """Reject the first (flag, value, least) whose value is below `least`,
+    naming the flag the user typed rather than the field it fills."""
+    for flag, value, least in checks:
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
+# the operands of `params --compare-lstmp`, in order
+LSTMP_DIMENSIONS = ("LAYERS", "CELLS", "PROJ", "INPUT", "CLASSES")
+
 # `gen` flags that only some tasks read, with their defaults
 GEN_TASK_FLAGS = {"classes": 10, "delay": 6, "window": 3}
 
@@ -212,11 +223,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.stream is not None:
+        chunk, lookahead = args.stream
+        _check_least(("--stream CHUNK", chunk, 1), ("--stream LOOKAHEAD", lookahead, 0))
     model = load_checkpoint(args.checkpoint)
     corpus = data_mod.read_archive(args.corpus)
     check_corpus(model.config, corpus, "eval")
     if args.stream is not None:
-        chunk, lookahead = args.stream
         ce, fer = evaluate_streaming(model, corpus, chunk, lookahead)
     else:
         ce, fer = evaluate(model, corpus)
@@ -225,9 +238,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value, least in (("--seed", args.seed, 0), ("--frames", args.frames, 1)):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    _check_least(("--seed", args.seed, 0), ("--layers", args.layers, 1),
+                 ("--frames", args.frames, 1))
     config = RMNConfig(
         input_dim=6,
         num_memory_layers=args.layers,
@@ -257,6 +269,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params(args) -> int:
+    _check_least(("--input-dim", args.input_dim, 1), ("--layers", args.layers, 1),
+                 ("--classes", args.classes, 1), ("--wide-dim", args.wide_dim, 1),
+                 ("--memory-dim", args.memory_dim, 1))
+    if args.compare_lstmp is not None:
+        _check_least(*((f"--compare-lstmp {name}", value, 1)
+                       for name, value in zip(LSTMP_DIMENSIONS, args.compare_lstmp)))
     config = RMNConfig(
         input_dim=args.input_dim,
         num_memory_layers=args.layers,
@@ -267,7 +285,6 @@ def cmd_params(args) -> int:
         shared_weight_form=args.shared_form,
     )
     n = param_count(config)
-    # both counts first, so that bad LSTMP dimensions print nothing
     m = None if args.compare_lstmp is None else param_count_lstmp(*args.compare_lstmp)
     print(f"params {n}")
     print(f"params_millions {n / 1e6:.1f}")
@@ -284,6 +301,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad layer list {args.layers!r}") from None
     if not layer_list:
         raise ConfigError("layer list is empty")
+    _check_least(*(("--layers", n, 1) for n in layer_list))
     repeated = sorted({n for n in layer_list if layer_list.count(n) > 1})
     if repeated:
         raise ConfigError(f"layer list {args.layers!r} repeats {', '.join(map(str, repeated))}")
@@ -376,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare-lstmp",
         nargs=5,
         type=int,
-        metavar=("LAYERS", "CELLS", "PROJ", "INPUT", "CLASSES"),
+        metavar=LSTMP_DIMENSIONS,
         default=None,
         help="also report a stacked projected-LSTM count and the reduction",
     )

@@ -709,9 +709,9 @@ def backward(
     piece's gradient is that of its own mean loss times `loss_scale`, and
     the loss returned is the mean over every piece's window rows. Every
     GEMM is one batched call over the pieces (`affine_backward`), and each
-    parameter receives the pieces' contributions one at a time in piece
-    order: the gradients are those of B calls on the pieces alone, one
-    after another, bit for bit.
+    parameter takes their parts in one `Parameter.accumulate`, in piece
+    order, its first part after `zero_grad` written and the rest added:
+    the gradients are those of B calls on the pieces alone, bit for bit.
 
     Every gradient row outside the window is zero, so every GEMM, relu and
     diagonal scale runs on the window rows only; the delayed taps read
@@ -727,8 +727,8 @@ def backward(
     taps from `_tap_source` as well: the column sum of tap × g for the
     diagonal form, and `tap.T @ g` on the zero-padded tap for the full
     form, since a GEMM with a shorter inner dimension rounds differently;
-    each layer's are kept until the pass ends, and then added piece by
-    piece, top layer down, as separate calls would add them.
+    each layer's are kept until the pass ends, and then go to `accumulate`
+    in one stack, piece by piece, top layer down within a piece.
     No copy of the relu gradient and no gradient at the input features is
     built, and a lone piece's weight product after `zero_grad` is written
     straight into its grad buffer. Every array the pass makes comes from
@@ -760,7 +760,7 @@ def backward(
 
     def grads(v: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str | None):
         # the weight and bias gradients of affine(v, w, b) given its output
-        # gradient g, accumulated piece by piece in order. The gradient at v
+        # gradient g, collected piece by piece in order. The gradient at v
         # goes to the buffer named `into` (None: not made), whose cache array
         # no later step reads (v's own, once the weight gradients have read
         # v). The weight products go to `weight_grad`, but a lone piece's
@@ -771,8 +771,8 @@ def backward(
             v, w.value, g, pieces=pieces, grad_w_out=out,
             grad_x_out=None if into is None else take(into, v.shape), input_grad=into is not None)
         if grad is None:
-            w.accumulate_pieces(g_w, overwrite=True)
-        b.accumulate_pieces(g_b)
+            w.accumulate(g_w)
+        b.accumulate(g_b)
         return g_v
 
     def relu_grads(post: np.ndarray, w: Parameter, b: Parameter, g: np.ndarray, into: str):
@@ -830,9 +830,8 @@ def backward(
         if l in g_outs:
             g_below += g_outs[l]
         g_outs[l] = g_below
-    for s, part, count in zip(shared, parts, counts):
-        for p in range(pieces):  # piece by piece, each top layer down
-            s.accumulate_pieces(part[p, :count], overwrite=s.value.ndim == 2)
+    for s, part, count in zip(shared, parts, counts):  # piece by piece, each top layer down
+        s.accumulate(part[:, :count].reshape((-1,) + s.value.shape))
 
     a = spans[0][0]
     g_proj_pre = _relu_backward(win(cache.proj_post, a), g_outs[0], g_outs[0])

@@ -2,12 +2,13 @@
 
 Sequences are stored frames-as-rows: a length-T utterance with d features
 is a (T, d) float64 array in row-major order. Every backward function
-returns plain gradient arrays, and a Parameter's grad buffer collects them
-additively, because shared weights collect contributions from many layers
-and time steps. The one exception is the first contribution after
-`zero_grad`, which a weight product may write straight into the zeroed
-buffer (`Parameter.grad_to_overwrite`): the same values, bar the sign of an
-exact zero.
+returns plain gradient arrays. A Parameter's grad buffer collects them as
+a stack of parts, one call of `Parameter.accumulate`, because shared
+weights collect contributions from many layers, time steps and pieces. One
+rule holds for every parameter: the first part after `zero_grad` is
+written into the buffer and every later one is added to it. A lone weight
+product may instead be made straight in the zeroed buffer
+(`Parameter.grad_to_overwrite`), which is the same write.
 
 Gradients through relu are masked by multiplication, so a NaN or infinite
 incoming gradient stays non-finite at an inactive unit instead of being
@@ -72,12 +73,13 @@ class Parameter:
     not copied; any other is copied into one. The `grad` and `velocity`
     buffers are made as zeros on first use, so a model that is only
     evaluated holds its values alone; `trainer.fit` makes them up front.
-    Gradients are accumulated with `accumulate` and cleared with
-    `zero_grad`; the first contribution after `zero_grad` may instead be
-    written into the buffer that `grad_to_overwrite` hands out. A caller
-    that writes into `grad` directly calls `zero_grad` before the next
-    backward pass, since `grad_to_overwrite` takes the buffer for zero
-    until then.
+    Gradients arrive as stacks of parts through `accumulate`, and
+    `zero_grad` clears them. The first part after `zero_grad` is written,
+    not added, whatever the parameter, so a part's -0.0 stays -0.0; a
+    contribution may instead be made straight in the buffer that
+    `grad_to_overwrite` hands out. A caller that writes into `grad`
+    directly calls `zero_grad` before the next backward pass, since both
+    take the buffer for zero until then.
     """
 
     _grad_is_zero = True  # grad holds the zeros it was made or cleared with
@@ -94,38 +96,29 @@ class Parameter:
     def velocity(self) -> np.ndarray:
         return np.zeros_like(self.value)
 
-    def accumulate(self, g) -> None:
-        if g.shape != self.value.shape:
-            raise DimensionError(
-                f"parameter {self.name or '<unnamed>'}: gradient shape {g.shape} "
-                f"does not match value shape {self.value.shape}"
-            )
-        self.grad += g
-        self._grad_is_zero = False
-
-    def accumulate_pieces(self, parts: np.ndarray, overwrite: bool = False) -> None:
-        """Add parts[0], parts[1], ... into grad one at a time, in that order,
-        as one `accumulate` call each would; with `overwrite`, parts[0] is
-        written into a grad buffer that still holds only zeros instead (see
-        `grad_to_overwrite`)."""
+    def accumulate(self, parts: np.ndarray) -> None:
+        """Collect parts[0], parts[1], ... into grad in that order: a part is
+        written into a buffer that still holds only the zeros `zero_grad`
+        left, and added to it otherwise."""
         if parts.shape[1:] != self.value.shape:
             raise DimensionError(
-                f"parameter {self.name or '<unnamed>'}: gradient pieces of shape "
+                f"parameter {self.name or '<unnamed>'}: gradient parts of shape "
                 f"{parts.shape[1:]} do not match value shape {self.value.shape}"
             )
         grad = self.grad
-        if overwrite and self._grad_is_zero and len(parts):
+        if self._grad_is_zero and len(parts):
             np.copyto(grad, parts[0])
             parts = parts[1:]
+            self._grad_is_zero = False
         for part in parts:
             grad += part
-        self._grad_is_zero = False
 
     def grad_to_overwrite(self) -> np.ndarray | None:
         """The grad buffer, for a contribution to be written into rather
-        than added, when it still holds only the zeros `zero_grad` left;
-        else None, and the contribution goes through `accumulate`. Either
-        way the buffer counts as written from then on."""
+        than added, when it still holds only the zeros `zero_grad` left, as
+        `accumulate` writes a first part; else None, and the contribution
+        goes through `accumulate`. Either way the buffer counts as written
+        from then on."""
         if not self._grad_is_zero:
             return None
         self._grad_is_zero = False
@@ -174,20 +167,19 @@ def affine(x, w, b, *, pieces: int = 1, out=None) -> np.ndarray:
     return out
 
 
-def affine_backward(x, w, grad_out, *, pieces: int | None = None, grad_w_out=None,
-                    grad_x_out=None, input_grad: bool = True):
+def affine_backward(x, w, grad_out, *, pieces: int = 1, grad_w_out=None, grad_x_out=None,
+                    input_grad: bool = True):
     """Gradients of `affine` w.r.t. input, weight and bias.
 
-    Returns (grad_x, grad_w, grad_b). grad_w sums over all rows (time
-    steps) of the sequence, so one call already aggregates the whole
-    utterance. With `pieces`, x and grad_out stack that many equal row
-    blocks as `affine` takes them, every product is a batched matmul over
-    the blocks, and grad_w and grad_b come back per block, stacked on a
-    first axis of length `pieces`: block i's are those of a call on block i
-    alone. With `grad_w_out`, grad_w is written into that array and
-    returned as it, and likewise grad_x with `grad_x_out`, which may
-    share x's memory (grad_x is made after the other two read x); with
-    `input_grad` false, grad_x is not computed and
+    Returns (grad_x, grad_w, grad_b). x and grad_out stack `pieces` equal
+    row blocks as `affine` takes them, and every product is a batched
+    matmul over the blocks. grad_w and grad_b come back per block, stacked
+    on a first axis of length `pieces`, the parts `Parameter.accumulate`
+    takes: block i's sum over its rows (time steps), as a call on block i
+    alone would. With `grad_w_out` (of grad_w's shape, or w's for one
+    block), grad_w is written into it, and likewise grad_x with
+    `grad_x_out`, which may share x's memory (grad_x is made after the
+    other two read x); with `input_grad` false, grad_x is not computed and
     comes back as None (the input block's input is data, which nothing
     differentiates).
     """
@@ -199,7 +191,7 @@ def affine_backward(x, w, grad_out, *, pieces: int | None = None, grad_w_out=Non
             f"affine_backward: output gradient shape {g.shape} does not match "
             f"forward output shape {(x.shape[0], w.shape[1])}"
         )
-    x3 = _pieces(x, pieces or 1, "affine input")
+    x3 = _pieces(x, pieces, "affine input")
     g3 = g.reshape(x3.shape[:2] + g.shape[1:])
     out = None if grad_w_out is None else grad_w_out.reshape((len(x3),) + w.shape)
     grad_w = np.matmul(x3.transpose(0, 2, 1), g3, out=out)
@@ -208,8 +200,6 @@ def affine_backward(x, w, grad_out, *, pieces: int | None = None, grad_w_out=Non
     if input_grad:  # last, so that grad_x_out may share x's memory
         grad_x = np.empty(x.shape) if grad_x_out is None else grad_x_out
         np.matmul(g3, w.T, out=grad_x.reshape(x3.shape))
-    if pieces is None:  # one piece, its gradients unstacked
-        return grad_x, grad_w[0] if grad_w_out is None else grad_w_out, grad_b[0]
     return grad_x, grad_w, grad_b
 
 

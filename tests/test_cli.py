@@ -126,15 +126,30 @@ def test_params_lstmp_comparison(capsys):
     assert "reduction_percent 27.7" in out
 
 
-@pytest.mark.parametrize("lstmp", [["0", "1", "1", "1", "1"], ["3", "1024", "512", "40", "-1"]])
-def test_params_bad_lstmp_dimensions_print_nothing(capsys, lstmp):
+@pytest.mark.parametrize("lstmp, message", [
+    (["0", "1", "1", "1", "1"], "--compare-lstmp LAYERS must be >= 1, got 0"),
+    (["3", "1024", "512", "40", "-1"], "--compare-lstmp CLASSES must be >= 1, got -1"),
+])
+def test_params_bad_lstmp_dimensions_print_nothing(capsys, lstmp, message):
     # the RMN count used to be printed before the LSTMP dimensions were read
     assert run("params", "--input-dim", "440", "--layers", "18", "--classes", "4006",
                "--compare-lstmp", *lstmp) == 2
     said = capsys.readouterr()
     assert said.out == ""
     assert said.err.count("\n") == 1
-    assert said.err.startswith("error: ") and "LSTMP dimensions must be >= 1" in said.err
+    assert said.err.startswith("error: ") and message in said.err
+
+
+@pytest.mark.parametrize("flag", ["--input-dim", "--layers", "--classes", "--wide-dim",
+                                  "--memory-dim"])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_params_rejects_out_of_range_argument_by_name(capsys, flag, value):
+    # RMNConfig's own message would name its field (input_dim, num_memory_layers)
+    argv = {"--input-dim": "440", "--layers": "18", "--classes": "4006", flag: value}
+    assert run("params", *(word for pair in argv.items() for word in pair)) == 2
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err == f"error: {flag} must be >= 1, got {value}\n"
 
 
 def test_params_huge_lstmp_layer_count_is_counted_in_closed_form(capsys):
@@ -175,10 +190,12 @@ def test_gradcheck_counts_entries_below_the_loss_resolution_as_unresolved(capsys
     assert out[2] == "gradcheck PASS"
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--frames", "-3"), ("--frames", "0")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--frames", "-3"), ("--frames", "0"),
+                                         ("--layers", "0"), ("--layers", "-1")])
 def test_gradcheck_rejects_out_of_range_argument_by_name(capsys, flag, value):
     # numpy's own message ("expected non-negative integer", "negative
-    # dimensions ...") or "empty sequence" would not name the flag
+    # dimensions ..."), "empty sequence" or RMNConfig's num_memory_layers
+    # would not name the flag
     assert run("gradcheck", flag, value) == 2
     said = capsys.readouterr()
     assert said.out == ""
@@ -300,12 +317,15 @@ def test_fuzzed_config_loads_or_raises_config_error(tmp_path_factory, lines, ove
     assert settings.keys() == EXPERIMENT_KEYS.keys()
 
 
-def test_config_loader_rejects_bad_value(tmp_path):
+@pytest.mark.parametrize("key, value", [("momentum", "high"), ("delay_enabled", "maybe")])
+def test_config_loader_rejects_bad_value(tmp_path, capsys, key, value):
     train, valid = write_corpora(tmp_path)
     path = tmp_path / "exp.cfg"
-    path.write_text(base_config_text(tmp_path, train, valid, momentum="high"))
-    with pytest.raises(ConfigError):
+    path.write_text(base_config_text(tmp_path, train, valid, **{key: value}))
+    with pytest.raises(ConfigError, match=f"bad value for {key!r}: {value!r}"):
         load_experiment_config(str(path), {})
+    assert_one_line_usage_error(capsys, "train", str(path), mentions=f"bad value for {key!r}")
+    assert not (tmp_path / "run").exists()
 
 
 # --- train ---------------------------------------------------------------------------
@@ -498,6 +518,22 @@ def test_eval_damaged_checkpoint_is_one_line_usage_error(tmp_path, capsys, damag
     assert_one_line_usage_error(capsys, "eval", str(ckpt), str(valid), mentions=f"{ckpt}: {mentions}")
 
 
+@pytest.mark.parametrize("stream, message", [
+    (["0", "1"], "--stream CHUNK must be >= 1, got 0"),
+    (["-2", "0"], "--stream CHUNK must be >= 1, got -2"),
+    (["3", "-1"], "--stream LOOKAHEAD must be >= 0, got -1"),
+])
+def test_eval_rejects_out_of_range_stream_argument_by_name(tmp_path, capsys, stream, message):
+    # evaluate_streaming's own message would name chunk_size or lookahead
+    for name in ("model.ckpt", "valid.arc"):
+        (tmp_path / name).write_bytes(e2e_base_files()[name])
+    assert run("eval", str(tmp_path / "model.ckpt"), str(tmp_path / "valid.arc"),
+               "--stream", *stream) == 2
+    said = capsys.readouterr()
+    assert said.out == ""
+    assert said.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("stream", [[], ["--stream", "2", "1"]])
 def test_eval_of_huge_weights_is_one_numeric_failure_line(tmp_path, capsys, stream):
     # finite values the reader accepts, whose products overflow
@@ -680,12 +716,14 @@ def test_sweep_no_delay_variant(tmp_path):
 
 
 @pytest.mark.parametrize("layers, extra, unlabeled, mentions", [
-    ("0", [], False, "num_memory_layers must be >= 1"),
+    ("0", [], False, "--layers must be >= 1, got 0"),
     ("2,3", ["--l2", "nan"], False, "l2 must be finite"),
     ("2", [], True, "no labels"),
     ("2,2", [], False, "repeats 2"),
     ("1,3,1,2,3", [], False, "repeats 1, 3"),
     ("2", ["--max_epochs", "0"], False, "max_epochs must be >= 1"),
+    ("0,2", [], False, "--layers must be >= 1, got 0"),
+    ("2,-3", [], False, "--layers must be >= 1, got -3"),
 ])
 def test_sweep_usage_error_writes_nothing(tmp_path, capsys, layers, extra, unlabeled, mentions):
     train, valid = write_corpora(tmp_path)

@@ -394,6 +394,13 @@ def test_generator_rejects_bad_delay():
         gen_future_recall(5, 12, 10, 1, seed=0)
 
 
+def test_corpus_validate_rejects_a_label_count_that_is_not_the_frame_count():
+    utt = Utterance("u0", np.zeros((2, 1)), np.array([0, 1, 2]))
+    corpus = Corpus([utt], feature_dim=1, num_classes=3)
+    with pytest.raises(FormatError, match="utterance 'u0': label count != frame count"):
+        corpus.validate()
+
+
 def test_corpus_validate_rejects_label_overflow():
     utt = Utterance("u0", np.zeros((2, 1)), np.array([0, 9]))
     corpus = Corpus([utt], feature_dim=1, num_classes=3)

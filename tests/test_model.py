@@ -671,8 +671,8 @@ def assert_same_outputs(a, b):
 
 @pytest.mark.parametrize("name, value", [("residual_interval", 1), ("residual_interval", None),
                                          ("delay_enabled", False)])
-def test_a_config_changed_between_calls_is_planned_afresh(name, value):
-    # the wiring is planned once and kept with the parameters, but an
+def test_a_config_changed_between_calls_is_followed_by_the_next_call(name, value):
+    # each pass works its wiring out from the config it is given, and an
     # RMNConfig is mutable: the next call must follow a changed field
     cfg = tiny_config(num_memory_layers=4, residual_interval=2)
     params = ready_params(cfg)
@@ -707,7 +707,7 @@ def test_backward_follows_the_wiring_of_the_forward_that_built_its_cache(name, v
 
 
 @pytest.mark.parametrize("form", ["diagonal", "full"])
-def test_a_replaced_or_copied_shared_transform_is_planned_afresh(form):
+def test_a_replaced_or_copied_shared_transform_is_read_by_the_next_call(form):
     cfg = tiny_config(direction="bi", shared_weight_form=form)
     x = RNG.uniform(-2, 2, (12, cfg.input_dim))
     labels = RNG.integers(0, cfg.num_classes, 12)
@@ -862,6 +862,21 @@ def test_probe_rejects_short_sequences():
     params = ready_params(cfg)
     with pytest.raises(WindowError):
         probe_receptive_field(params, cfg, t_frames=10, seed=0)
+
+
+def test_probe_rejects_an_input_width_the_splice_does_not_divide():
+    # a spliced input of width 4 cannot hold 3 frames of one raw width
+    cfg = RMNConfig(input_dim=4, num_memory_layers=2, num_classes=3, wide_dim=6, memory_dim=4,
+                    splice_left=1, splice_right=1)
+    with pytest.raises(DimensionError, match="input_dim 4 is not divisible by splice span 3"):
+        probe_receptive_field(ready_params(cfg), cfg, t_frames=24, seed=0)
+
+
+def test_probe_of_a_model_whose_logits_do_not_move_reaches_nothing():
+    cfg = tiny_config(num_memory_layers=2)
+    params = ready_params(cfg)
+    params.input_w.value[...] = 0.0  # no input frame reaches a logit
+    assert probe_receptive_field(params, cfg, t_frames=24, seed=3) == (0, 0)
 
 
 # --- streaming ----------------------------------------------------------------

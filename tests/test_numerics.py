@@ -83,7 +83,14 @@ def test_affine_shape_errors():
      "diag_scale_backward: shapes (2, 3) and (2, 2) differ"),
     (lambda: diag_scale(np.ones((2, 3)), np.ones(2)),
      "diag_scale: vector length 2 != column count 3"),
-], ids=["relu_backward", "diag_scale_backward", "diag_scale"])
+    (lambda: affine(np.ones((10, 3)), np.ones((3, 2)), np.zeros(2), pieces=3),
+     "affine input of 10 rows does not split into 3 equal pieces"),
+    (lambda: diag_scale(np.ones(3), np.ones(3)),
+     "diag_scale input must be at least 2-D, got shape (3,)"),
+    (lambda: diag_scale_backward(np.ones((2, 3)), np.ones(2), np.ones((2, 3))),
+     "diag_scale: vector length 2 != column count 3"),
+], ids=["relu_backward", "diag_scale_backward", "diag_scale", "affine_pieces", "diag_scale_1d",
+        "diag_scale_backward_vector"])
 def test_primitives_name_the_shapes_they_reject(call, message):
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         call()
@@ -119,10 +126,11 @@ def test_relu_backward_keeps_a_non_finite_gradient_at_an_inactive_unit(bad):
 def test_affine_backward_writes_into_the_buffer_and_can_skip_the_input_gradient():
     x, w, g = RNG.normal(size=(9, 4)), RNG.normal(size=(4, 3)), RNG.normal(size=(9, 3))
     gx, gw, gb = affine_backward(x, w, g)
+    assert gw.shape == (1, 4, 3) and gb.shape == (1, 3)  # stacked, as one piece
     out = np.full((4, 3), np.nan)
     gx2, gw2, gb2 = affine_backward(x, w, g, grad_w_out=out, input_grad=False)
-    assert gx2 is None and gw2 is out
-    assert np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
+    assert gx2 is None and gw2.base is out
+    assert np.array_equal(gw2, gw) and np.array_equal(out, gw[0]) and np.array_equal(gb2, gb)
 
 
 def test_parameter_hands_out_its_grad_buffer_only_while_it_is_zero():
@@ -131,7 +139,7 @@ def test_parameter_hands_out_its_grad_buffer_only_while_it_is_zero():
     assert buf is p.grad
     assert p.grad_to_overwrite() is None
     p.zero_grad()
-    p.accumulate(np.ones((2, 2)))
+    p.accumulate(np.ones((1, 2, 2)))
     assert p.grad_to_overwrite() is None
     p.zero_grad()
     assert p.grad_to_overwrite() is p.grad
@@ -249,17 +257,6 @@ def test_xent_terms_errors_name_the_utterance_and_its_own_frame():
             xent_terms(logits, good, lengths)
 
 
-def test_parameter_accumulate_and_zero():
-    p = Parameter(np.zeros((2, 2)), "p")
-    p.accumulate(np.ones((2, 2)))
-    p.accumulate(np.ones((2, 2)))
-    assert np.array_equal(p.grad, np.full((2, 2), 2.0))
-    p.zero_grad()
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        p.accumulate(np.ones(3))
-
-
 def test_grad_check_accepts_correct_gradient():
     p = Parameter(RNG.normal(size=(3, 2)), "w")
     target = RNG.normal(size=(3, 2))
@@ -332,13 +329,32 @@ def test_batched_products_equal_each_pieces_own_bit_for_bit(k, m, rows):
         assert gw[i].tobytes() == aw.tobytes() and gb[i].tobytes() == ab.tobytes()
 
 
-def test_accumulate_pieces_adds_them_one_at_a_time_in_order():
-    parts = RNG.normal(size=(4, 3)) * np.array([[1.0], [1e16], [-1e16], [1.0]])
+def test_accumulate_writes_the_first_part_after_zero_grad_and_adds_the_rest_in_order():
+    # parts of 1e16 cancel, so only adding them one at a time, in order,
+    # gives these bytes: the reverse order loses a different small part
+    parts = np.array([[0.3, 1.7, -2.1], [1e16, -3e16, 7e15], [-1e16, 3e16, -7e15],
+                      [0.9, 0.4, 1.3]])
+    in_order, reversed_order = parts[0].copy(), parts[-1].copy()
+    for part in parts[1:]:
+        in_order += part
+    for part in parts[-2::-1]:
+        reversed_order += part
+    assert in_order.tobytes() != reversed_order.tobytes()
     p = Parameter(np.zeros(3), "p")
-    p.accumulate_pieces(parts)
-    q = Parameter(np.zeros(3), "q")
-    for part in parts:
-        q.accumulate(part)
-    assert p.grad.tobytes() == q.grad.tobytes()
+    p.accumulate(parts[:1])
+    p.accumulate(parts[1:])
+    assert p.grad.tobytes() == in_order.tobytes()
+    p.zero_grad()
+    assert np.array_equal(p.grad, np.zeros(3))
+    # the first part after zero_grad is written, so its -0.0 stays -0.0
+    # (0.0 + -0.0 is 0.0); a later part is added
+    p.accumulate(np.array([[-0.0, 2.0, -0.0], [0.0, -2.0, -0.0]]))
+    assert np.signbit(p.grad).tolist() == [False, False, True]
+    p.zero_grad()
+    p.accumulate(np.empty((0, 3)))  # no parts: the next part is still the first
+    p.accumulate(np.array([[-0.0, 1.0, -0.0]]))
+    assert np.signbit(p.grad).tolist() == [True, False, True]
+    with pytest.raises(DimensionError, match=re.escape("gradient parts of shape (4,)")):
+        p.accumulate(np.ones((2, 4)))
     with pytest.raises(DimensionError):
-        p.accumulate_pieces(np.ones((2, 4)))
+        p.accumulate(np.ones(3))
