@@ -28,12 +28,13 @@ from .numerics import (
     DimensionError,
     Parameter,
     _diag_scale,
+    _Flat,
     _relu,
     _relu_backward,
+    _softmax_xent,
     affine,
     affine_backward,
     grad_check,
-    softmax_xent,
     xent_loss,
 )
 
@@ -164,40 +165,50 @@ class ModelParams:
     first output block, classifier block. Exactly one shared past (and
     future) transform exists regardless of depth.
 
-    `rng` draws the training init. With `rng` None the values are left
-    unset, for a checkpoint reader to fill.
+    The values lie in one flat float64 array, in this order, and each
+    Parameter's `value` is a C-contiguous view of its entries. The
+    gradients and the velocities get one flat array each in the same
+    layout, made as zeros when a parameter's `grad` or `velocity` is first
+    used, so a model that is only evaluated holds its values alone. So
+    `sgd_step` and `zero_grads` pass over all parameters at once. A
+    parameter given a new `value` array, or replaced by a new Parameter,
+    keeps buffers of its own; a deep copy holds its own arrays, each
+    parameter on its own.
+
+    `rng` draws the training init into the views. With `rng` None the
+    values are left unset, for a checkpoint reader to fill.
     """
 
     def __init__(self, config: RMNConfig, rng: np.random.Generator | None):
         c = config
-
-        def gaussian(rows, cols, name):
-            if rng is None:
-                return Parameter(np.empty((rows, cols)), name)
-            std = 0.2 / np.sqrt(rows)
-            return Parameter(rng.normal(0.0, std, size=(rows, cols)), name)
-
-        def zeros(shape, name):
-            return Parameter(np.empty(shape) if rng is None else np.zeros(shape), name)
-
-        self.input_w = gaussian(c.input_dim, c.wide_dim, "input_w")
-        self.input_b = zeros(c.wide_dim, "input_b")
-        self.proj_w = gaussian(c.wide_dim, c.memory_dim, "proj_w")
-        self.proj_b = zeros(c.memory_dim, "proj_b")
-        self.layer_w = [
-            gaussian(c.memory_dim, c.memory_dim, f"layer{l + 1}_w")
-            for l in range(c.num_memory_layers)
-        ]
-        self.layer_b = [zeros(c.memory_dim, f"layer{l + 1}_b") for l in range(c.num_memory_layers)]
-        # shared transforms start at zero: the net first learns a static
-        # frame mapping, then grows into the delayed taps
         shared = (c.memory_dim,) if c.shared_weight_form == "diagonal" else (c.memory_dim,) * 2
-        self.shared_past = zeros(shared, "shared_past")
-        self.shared_future = zeros(shared, "shared_future") if c.direction == "bi" else None
-        self.out1_w = gaussian(c.memory_dim, c.wide_dim, "out1_w")
-        self.out1_b = zeros(c.wide_dim, "out1_b")
-        self.out2_w = gaussian(c.wide_dim, c.num_classes, "out2_w")
-        self.out2_b = zeros(c.num_classes, "out2_b")
+        layout = [("input_w", (c.input_dim, c.wide_dim)), ("input_b", (c.wide_dim,)),
+                  ("proj_w", (c.wide_dim, c.memory_dim)), ("proj_b", (c.memory_dim,))]
+        for l in range(c.num_memory_layers):
+            layout += [(f"layer{l + 1}_w", (c.memory_dim,) * 2), (f"layer{l + 1}_b", (c.memory_dim,))]
+        layout += [("shared_past", shared)] + [("shared_future", shared)] * (c.direction == "bi")
+        layout += [("out1_w", (c.memory_dim, c.wide_dim)), ("out1_b", (c.wide_dim,)),
+                   ("out2_w", (c.wide_dim, c.num_classes)), ("out2_b", (c.num_classes,))]
+        self._flat = flat = _Flat(sum(math.prod(shape) for _, shape in layout))
+        made, lo = {}, 0
+        for name, shape in layout:
+            value = flat.value[lo : lo + math.prod(shape)].reshape(shape)
+            if rng is not None and name.endswith("_w"):  # affine weights, in order
+                rng.standard_normal(out=value)  # with the scale below, rng.normal's values
+                value *= 0.2 / np.sqrt(shape[0])
+            elif rng is not None:
+                # biases and shared transforms start at zero: the net first
+                # learns a static frame mapping, then grows into the delayed taps
+                value[...] = 0.0
+            made[name] = Parameter(value, name, (flat, lo))
+            lo += value.size
+        self.input_w, self.input_b = made["input_w"], made["input_b"]
+        self.proj_w, self.proj_b = made["proj_w"], made["proj_b"]
+        self.layer_w = [made[f"layer{l + 1}_w"] for l in range(c.num_memory_layers)]
+        self.layer_b = [made[f"layer{l + 1}_b"] for l in range(c.num_memory_layers)]
+        self.shared_past, self.shared_future = made["shared_past"], made.get("shared_future")
+        self.out1_w, self.out1_b = made["out1_w"], made["out1_b"]
+        self.out2_w, self.out2_b = made["out2_w"], made["out2_b"]
 
     def parameters(self) -> list[Parameter]:
         out = [self.input_w, self.input_b, self.proj_w, self.proj_b]
@@ -210,8 +221,16 @@ class ModelParams:
         return out
 
     def zero_grads(self) -> None:
+        """Clear every gradient: the flat gradient array in one fill, which
+        clears its views, then any grad buffer a parameter holds of its own."""
+        flat = vars(self._flat).get("grad")  # None until some grad is first used
+        if flat is not None:
+            flat.fill(0.0)
         for p in self.parameters():
-            p.zero_grad()
+            own = vars(p).get("grad")  # a buffer never made is zero already
+            if own is not None and (flat is None or own.base is not flat):
+                own[...] = 0.0
+            p._grad_is_zero = True
 
 
 def init_params(config: RMNConfig, seed: int) -> ModelParams:
@@ -289,19 +308,24 @@ class ForwardCache:
 class _Buffers:
     """Arrays a training run reuses from step to step (`trainer.fit`): each
     name is a view of one flat buffer, which grows to the largest size asked
-    for."""
+    for. The view made for a name and shape is handed out again until the
+    name's buffer grows."""
 
     def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
+        self._flat: dict[str, tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """An uninitialised array of `shape`, which overwrites whatever the
         last array of this name held."""
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+        flat, views = self._flat.get(name, (None, {}))
+        view = views.get(shape)
+        if view is None:
+            size = math.prod(shape)
+            if flat is None or flat.size < size:
+                flat, views = np.empty(size), {}
+                self._flat[name] = flat, views
+            view = views[shape] = flat[:size].reshape(shape)
+        return view
 
 
 def _take(buffers: _Buffers | None):
@@ -782,7 +806,7 @@ def backward(
         g_post = grads(post, w, b, g, into)
         return np.multiply(g_post, mask, out=g_post)
 
-    loss, g_logits = softmax_xent(win(cache.logits, r_lo), win(labels[:, None], 0)[:, 0], pieces)
+    loss, g_logits = _softmax_xent(win(cache.logits, r_lo), win(labels[:, None], 0)[:, 0], pieces)
     g_logits *= loss_scale
 
     # classifier block

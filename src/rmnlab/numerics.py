@@ -14,12 +14,13 @@ Gradients through relu are masked by multiplication, so a NaN or infinite
 incoming gradient stays non-finite at an inactive unit instead of being
 zeroed there (see `relu_backward`).
 
-The public functions check their operands. `relu`, `relu_backward` and
-`diag_scale` are a check followed by one private body (`_relu`,
-`_relu_backward`, `_diag_scale`), and the model's passes call the bodies:
-`forward`'s input check and the corpus check have fixed every shape they
-see. `affine` and `affine_backward` keep their checks on every call, so
-each GEMM stays a call of a public function that a tracer can wrap.
+The public functions check their operands. `relu`, `relu_backward`,
+`diag_scale` and `softmax_xent` are a check followed by one private body
+(`_relu`, `_relu_backward`, `_diag_scale`, `_softmax_xent`), and the
+model's passes call the bodies: `forward`'s input check and the corpus
+check, labels included, have fixed every shape and label they see.
+`affine` and `affine_backward` keep their checks on every call, so each
+GEMM stays a call of a public function that a tracer can wrap.
 
 `affine`, `affine_backward` and `softmax_xent` take `pieces`: operands that
 stack that many equal row blocks, one after another, as a training step
@@ -65,6 +66,23 @@ class NumericError(ArithmeticError):
     """A value that must be finite is NaN or infinite."""
 
 
+class _Flat:
+    """The values of parameters laid out one after another in one flat
+    float64 array, and their gradients and velocities likewise in one flat
+    array each, made as zeros on first use (`model.ModelParams`)."""
+
+    def __init__(self, size: int):
+        self.value = np.empty(size)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return np.zeros(self.value.size)
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        return np.zeros(self.value.size)
+
+
 class Parameter:
     """A trainable array bundled with its gradient and momentum buffers.
 
@@ -73,6 +91,14 @@ class Parameter:
     not copied; any other is copied into one. The `grad` and `velocity`
     buffers are made as zeros on first use, so a model that is only
     evaluated holds its values alone; `trainer.fit` makes them up front.
+
+    `flat` = (flat arrays, first entry) places the parameter in flat arrays
+    it shares with others (`model.ModelParams`): `value` is then a view of
+    the flat values, and `grad` and `velocity` are made as views of the
+    flat gradients and velocities at the same entries, so that `sgd_step`
+    updates such neighbours as one run. A parameter built on its own, or
+    one whose `value` has been given a new array, holds buffers of its own.
+
     Gradients arrive as stacks of parts through `accumulate`, and
     `zero_grad` clears them. The first part after `zero_grad` is written,
     not added, whatever the parameter, so a part's -0.0 stays -0.0; a
@@ -84,17 +110,45 @@ class Parameter:
 
     _grad_is_zero = True  # grad holds the zeros it was made or cleared with
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value, name: str = "", flat: tuple[_Flat, int] | None = None):
         self.value = np.asarray(value, dtype=np.float64, order="C")
         self.name = name
+        self._flat = flat
+
+    def _place(self) -> tuple[_Flat, int, int] | None:
+        """(flat arrays, first entry, entry past the last) while `value` is a
+        view of the flat values, else None."""
+        if self._flat is None or self.value.base is not self._flat[0].value:
+            return None
+        flat, lo = self._flat
+        return flat, lo, lo + self.value.size
+
+    def _buffer(self, kind: str) -> np.ndarray:
+        place = self._place()
+        if place is None:
+            return np.zeros_like(self.value)
+        flat, lo, hi = place
+        return getattr(flat, kind)[lo:hi].reshape(self.value.shape)
 
     @cached_property
     def grad(self) -> np.ndarray:
-        return np.zeros_like(self.value)
+        return self._buffer("grad")
 
     @cached_property
     def velocity(self) -> np.ndarray:
-        return np.zeros_like(self.value)
+        return self._buffer("velocity")
+
+    def _make_buffers(self) -> None:
+        """Make grad and velocity now. A placed parameter that holds a buffer
+        of its own has it copied into the view of the flat array, which
+        takes its place."""
+        place = self._place()
+        for kind in ("grad", "velocity"):
+            own = vars(self).get(kind)
+            if place is not None and own is not None and own.base is not getattr(place[0], kind):
+                delattr(self, kind)
+                np.copyto(getattr(self, kind), own)
+            getattr(self, kind)
 
     def accumulate(self, parts: np.ndarray) -> None:
         """Collect parts[0], parts[1], ... into grad in that order: a part is
@@ -107,9 +161,16 @@ class Parameter:
             )
         grad = self.grad
         if self._grad_is_zero and len(parts):
+            self._grad_is_zero = False
+            # one reduce adds the parts in order from -0.0, and -0.0 + x is x,
+            # which writes the first; numpy sums the parts pairwise instead
+            # when they lie along its inner loop: 8 or more of a single
+            # entry, or a stack that is not C-contiguous
+            if parts.flags.c_contiguous and (grad.size > 1 or len(parts) < 8):
+                np.add.reduce(parts, axis=0, out=grad, initial=-0.0)
+                return
             np.copyto(grad, parts[0])
             parts = parts[1:]
-            self._grad_is_zero = False
         for part in parts:
             grad += part
 
@@ -135,6 +196,30 @@ class Parameter:
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
+
+
+def _runs(params) -> list[tuple[list[Parameter], np.ndarray, np.ndarray, np.ndarray]]:
+    """The parameters in runs whose values, gradients and velocities lie
+    next to each other in flat arrays, each run as (parameters, values,
+    gradients, velocities), the arrays flat over the run. Consecutive
+    parameters placed one after another in the same flat arrays, each with
+    all three buffers views of them, form one run; any other parameter is a
+    run of one, its own arrays."""
+    runs = []  # [parameters, flat arrays or None, first entry, entry past the last]
+    for p in params:
+        place = p._place()
+        if place is not None and (p.grad.base is not place[0].grad
+                                  or p.velocity.base is not place[0].velocity):
+            place = None
+        if place is not None and runs and runs[-1][1] is place[0] and runs[-1][3] == place[1]:
+            runs[-1][0].append(p)
+            runs[-1][3] = place[2]
+        else:
+            runs.append([[p], *(place or (None, 0, p.size))])
+    return [(group, flat.value[lo:hi], flat.grad[lo:hi], flat.velocity[lo:hi]) if flat is not None else
+            (group, group[0].value.reshape(-1), group[0].grad.reshape(-1),
+             group[0].velocity.reshape(-1))
+            for group, flat, lo, hi in runs]
 
 
 def _as2d(x, what: str) -> np.ndarray:
@@ -244,20 +329,42 @@ def _relu_backward(x: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
 def diag_scale(x, d_vec, out=None) -> np.ndarray:
     """Per-column scaling: out[..., t, j] = x[..., t, j] * d_vec[j], into
     `out` when given. x holds rows of columns, stacked on any leading axes
-    (a (pieces, rows, width) view of equal pieces, say).
+    (a (pieces, rows, width) view of equal pieces, say). `d_vec` is a
+    vector of x's width, or that vector already tiled over x's rows, an
+    operand of x's trailing (rows, width) shape. When x stacks several
+    pieces of rows narrower than `_NARROW_ROW`, a vector is tiled so before
+    the product (see `_diag_scale`); the products are the same either way.
 
     Equivalent to an affine map with a diagonal weight matrix and no bias.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise DimensionError(f"diag_scale input must be at least 2-D, got shape {x.shape}")
-    d = np.asarray(d_vec, dtype=np.float64).reshape(-1)
-    if d.shape[0] != x.shape[-1]:
-        raise DimensionError(f"diag_scale: vector length {d.shape[0]} != column count {x.shape[-1]}")
+    d = np.asarray(d_vec, dtype=np.float64)
+    if d.shape != x.shape[-2:]:
+        d = d.reshape(-1)
+        if d.shape[0] != x.shape[-1]:
+            raise DimensionError(f"diag_scale: vector length {d.shape[0]} != column count {x.shape[-1]}")
     return _diag_scale(x, d, out)
 
 
+# Row width below which `_diag_scale` tiles its vector over the rows of a
+# piece of several. A product with an operand of a piece's own (rows, width)
+# shape runs as one loop over each piece, while a broadcast vector splits it
+# into a loop per row: at (5, 96, 32) the tiled product, tile made in the
+# call, took 12.7 us against 21.6 us broadcast (2 pieces: 4.9 against 8.2).
+# At the paper's memory width the broadcast is the faster: 771 against 975 us
+# at (2, 600, 512). A lone piece gains nothing from a tile, which it would
+# read once: (1, 96, 32) took 4.4 us tiled against 3.6 us broadcast. Best of
+# 5 x 50 or more calls, one thread of a 2-vCPU Haswell VM.
+_NARROW_ROW = 128
+
+
 def _diag_scale(x: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    if d.ndim == 1 and x.shape[-1] < _NARROW_ROW and x.size > x.shape[-2] * x.shape[-1]:
+        tile = np.empty(x.shape[-2:])
+        tile[...] = d
+        d = tile
     return np.multiply(x, d, out=out)
 
 
@@ -296,9 +403,10 @@ def _stacked_labels(labels, lengths, k: int) -> np.ndarray:
 
 
 def _xent(logits, labels, lengths=None):
-    """The loss half of `softmax_xent` over stacked utterances: (per-frame
-    losses, shifted logits, log normalisers, row indices, labels). `labels`
-    is one label vector, or with `lengths` one per utterance."""
+    """The loss half of `softmax_xent` over stacked utterances, checked:
+    (per-frame losses, shifted logits, log normalisers, row indices,
+    labels). `labels` is one label vector, or with `lengths` one per
+    utterance."""
     z = _as2d(logits, "logits")
     t_frames, k = z.shape
     if lengths is None:
@@ -309,10 +417,15 @@ def _xent(logits, labels, lengths=None):
             f"do not stack to {t_frames} frames"
         )
     y = _stacked_labels(labels, lengths, k)
+    return _xent_terms(z, y) + (y,)
+
+
+def _xent_terms(z: np.ndarray, y: np.ndarray):
+    """`_xent`'s body, on logits z and one label per row y in [0, k)."""
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(t_frames)
-    return log_norm - shifted[rows, y], shifted, log_norm, rows, y
+    rows = np.arange(z.shape[0])
+    return log_norm - shifted[rows, y], shifted, log_norm, rows
 
 
 def softmax_xent(logits, labels, pieces: int = 1):
@@ -325,9 +438,15 @@ def softmax_xent(logits, labels, pieces: int = 1):
     mean loss, (softmax - onehot) / T, and the loss is the mean over every
     row.
     """
-    terms, shifted, log_norm, rows, y = _xent(logits, labels)
-    _pieces(shifted, pieces, "logits")
-    # the gradient is built in `shifted`, which `_xent` made for this call
+    z = _as2d(logits, "logits")
+    y = _stacked_labels([labels], [z.shape[0]], z.shape[1])
+    _pieces(z, pieces, "logits")
+    return _softmax_xent(z, y, pieces)
+
+
+def _softmax_xent(z: np.ndarray, y: np.ndarray, pieces: int = 1):
+    terms, shifted, log_norm, rows = _xent_terms(z, y)
+    # the gradient is built in `shifted`, which `_xent_terms` made for this call
     grad = np.exp(np.subtract(shifted, log_norm[:, None], out=shifted), out=shifted)
     grad[rows, y] -= 1.0
     grad /= rows.shape[0] // pieces

@@ -13,7 +13,7 @@ import numpy as np
 from . import data as data_mod
 from .model import (Model, RMNConfig, _Buffers, backward, forward, model_input,
                     streaming_forward)
-from .numerics import NumericError, xent_terms
+from .numerics import LabelError, NumericError, _runs, xent_terms
 
 __all__ = [
     "TrainConfig",
@@ -166,7 +166,7 @@ def make_minibatches(
     return batches
 
 
-# Entries of a parameter that `sgd_step` updates at a time: one block each of
+# Entries of a run that `sgd_step` updates at a time: one block each of
 # value, grad, velocity and scratch is 1 MB, which stays in a core's L2 cache
 # between the operations of one update
 _SGD_BLOCK = 32768
@@ -178,18 +178,22 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
     velocity <- momentum * velocity - lr * (grad + l2 * value)
     value    <- value + velocity
 
-    Each parameter's velocity is updated in blocks of `_SGD_BLOCK` entries
-    through one scratch block, so no full-size temporary is made. Value and
-    grad change only once the whole velocity is finite: a NumericError
-    leaves the value and grad of that parameter and of every later one as
-    they were.
+    The update passes over runs of parameters, not one parameter at a time:
+    parameters whose values, gradients and velocities lie next to each
+    other in flat arrays (`ModelParams`) form one run, and any other
+    parameter is a run of its own (`numerics._runs`). Each run's velocity
+    is updated in blocks of `_SGD_BLOCK` entries through one scratch block,
+    so no full-size temporary is made, and each block is checked for
+    finiteness; then one `value += velocity` and one fill of the gradients
+    finish the run. Every entry gets the same five operations in the same
+    order as on its parameter alone. Value and grad of a parameter change
+    only once its whole velocity is finite: a NumericError leaves the value
+    and grad of that parameter and of every later one as they were.
     """
-    plist = params.parameters()
-    scratch = np.empty(min(_SGD_BLOCK, max((p.size for p in plist), default=0)))
-    for p in plist:
-        # flat views: all three buffers of a Parameter are C-contiguous
-        value, grad, velocity = p.value.reshape(-1), p.grad.reshape(-1), p.velocity.reshape(-1)
-        finite = True
+    runs = _runs(params.parameters())
+    scratch = np.empty(min(_SGD_BLOCK, max((run[1].size for run in runs), default=0)))
+    for run in runs:
+        plist, value, grad, velocity = run
         for lo in range(0, value.size, _SGD_BLOCK):
             vel = velocity[lo : lo + _SGD_BLOCK]
             step = np.multiply(value[lo : lo + _SGD_BLOCK], l2, out=scratch[: vel.size])
@@ -197,14 +201,32 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
             step *= lr
             vel *= momentum
             vel -= step
-            finite = finite and bool(np.isfinite(vel).all())
-        if not finite:
-            raise NumericError(
-                f"non-finite update for {p.name or '<unnamed>'} "
-                f"(lr={lr}, |grad|max={np.abs(p.grad).max():.3e})"
-            )
-        p.value += p.velocity
-        p.zero_grad()
+            if not np.isfinite(vel).all():
+                _stop(run, lo + int(np.argmin(np.isfinite(vel))), lr)
+        value += velocity
+        grad.fill(0.0)
+        for p in plist:
+            p._grad_is_zero = True
+
+
+def _stop(run, bad: int, lr: float) -> None:
+    """Finish the parameters of a run that lie before its entry `bad`, a
+    velocity that is not finite, and raise NumericError naming the
+    parameter that holds it."""
+    plist, value, grad, velocity = run
+    start = 0
+    for i, p in enumerate(plist):
+        if bad < start + p.size:
+            break
+        start += p.size
+    value[:start] += velocity[:start]
+    grad[:start] = 0.0
+    for done in plist[:i]:
+        done._grad_is_zero = True
+    raise NumericError(
+        f"non-finite update for {p.name or '<unnamed>'} "
+        f"(lr={lr}, |grad|max={np.abs(p.grad).max():.3e})"
+    )
 
 
 def _train_step(model: Model, examples, step_pieces, lr, cfg: TrainConfig,
@@ -333,8 +355,10 @@ def _evaluate_epoch(model: Model, corpus: data_mod.Corpus, name: str, epoch: int
 
 def check_corpus(config: RMNConfig, corpus: data_mod.Corpus, name: str) -> None:
     """Reject a corpus a model of this config cannot be trained or scored
-    on: empty, holding a zero-frame utterance, unlabeled, non-finite, or of
-    the wrong feature width or class count."""
+    on: empty, holding a zero-frame utterance, unlabeled, non-finite, of
+    the wrong feature width or class count, or with labels that are not
+    one integer per frame in [0, num_classes) (LabelError for a label out
+    of range). Training and scoring read the labels unchecked after this."""
     if len(corpus) == 0:
         raise ValueError(f"{name} corpus is empty")
     span = config.splice_width
@@ -354,6 +378,15 @@ def check_corpus(config: RMNConfig, corpus: data_mod.Corpus, name: str) -> None:
             raise ValueError(f"{name} corpus: utterance {utt.id!r} has no labels")
         if not np.isfinite(utt.features).all():
             raise ValueError(f"{name} corpus: utterance {utt.id!r} has non-finite features")
+        labels = np.asarray(utt.labels)
+        if labels.shape != (utt.num_frames,) or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"{name} corpus: utterance {utt.id!r} needs one integer label per "
+                             f"frame, got {labels.dtype} labels of shape {labels.shape} for "
+                             f"{utt.num_frames} frames")
+        bad = np.flatnonzero((labels < 0) | (labels >= config.num_classes))
+        if bad.size:
+            raise LabelError(f"{name} corpus: utterance {utt.id!r} has label {labels[bad[0]]} "
+                             f"out of range [0, {config.num_classes}) at frame {bad[0]}")
 
 
 def fit(
@@ -382,6 +415,11 @@ def fit(
     inputs, by the same parameters under the config without its splice;
     the validation set is spliced group by group (`evaluate`).
 
+    The model's flat gradient and velocity arrays are made before the first
+    step, and a buffer a parameter held of its own before `fit` is copied
+    into them (`Parameter._make_buffers`), so that `sgd_step` updates the
+    parameters as one run.
+
     A step runs each group of equal-shaped pieces as one `forward` and one
     `backward` call (`_train_step`). An epoch's steps share one set of
     buffers (`model._Buffers`): the stacked input, the stage arrays, relu
@@ -398,10 +436,10 @@ def fit(
         [data_mod.Utterance(utt.id, x, utt.labels)
          for utt, (x, _) in zip(train_corpus.utterances, examples)],
         model.config.input_dim, train_corpus.num_classes)
-    # every buffer training needs, made now in declared order: made on first
-    # touch inside the first step, they would land among its temporaries
+    # every buffer training needs, made now: made on first touch inside the
+    # first step, they would land among its temporaries
     for p in model.params.parameters():
-        p.grad, p.velocity
+        p._make_buffers()
 
     history: list[EpochStats] = []
     valid_ce_history: list[float] = []

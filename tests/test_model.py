@@ -39,6 +39,7 @@ from rmnlab.model import (
 )
 from rmnlab.model import _rows
 from rmnlab import model as model_mod
+from rmnlab import numerics as numerics_mod
 from rmnlab.numerics import DimensionError, Parameter, affine, relu, softmax_xent
 
 from reference_model import (grad_errors, named_grads, ref_backward, ref_forward, ref_grad_scale,
@@ -1483,6 +1484,44 @@ def test_a_plain_forward_cache_survives_later_calls():
     backward(params, cfg, cache, labels)
     assert np.array_equal(cache.logits, kept)
     assert all(np.array_equal(p.grad, w) for p, w in zip(params.parameters(), want))
+
+
+def test_buffers_hand_out_views_of_the_new_buffer_once_a_name_grows():
+    buffers = model_mod._Buffers()
+    small = buffers.take("a", (2, 3))
+    assert buffers.take("a", (2, 3)) is small
+    assert np.shares_memory(buffers.take("a", (3, 2)), small)
+    big = buffers.take("a", (4, 5))  # grows the buffer
+    assert not np.shares_memory(big, small)
+    again = buffers.take("a", (2, 3))
+    assert again is not small and np.shares_memory(again, big)
+    assert not np.shares_memory(buffers.take("b", (2, 3)), big)
+
+
+@pytest.mark.parametrize("memory_dim", [4, 130])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("pieces", [1, 5])
+def test_tiled_and_broadcast_diagonal_taps_give_the_same_bits(memory_dim, direction, pieces,
+                                                             monkeypatch):
+    # training passes with pieces 1 and 5, and scoring: the tap products tiled
+    # (`numerics._NARROW_ROW` above the width) or broadcast (below it)
+    cfg = tiny_config(direction=direction, memory_dim=memory_dim, num_memory_layers=4)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (pieces * 12, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, len(x))
+
+    def outputs():
+        params.zero_grads()
+        cache, logits = forward(params, cfg, x, rows=(2, 10), pieces=pieces)
+        backward(params, cfg, cache, labels, grad_window=(3, 9))
+        scored = forward(params, cfg, x, lengths=[5, len(x) - 5])
+        return [a.tobytes() for a in [logits, scored] + [p.grad for p in params.parameters()]]
+
+    runs = []
+    for narrow in (0, 10**9):
+        monkeypatch.setattr(numerics_mod, "_NARROW_ROW", narrow)
+        runs.append(outputs())
+    assert runs[0] == runs[1]
 
 
 def test_buffers_hand_each_name_the_same_memory_from_call_to_call():

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from rmnlab import numerics as numerics_mod
 from rmnlab.numerics import (
     DimensionError,
     LabelError,
@@ -149,6 +150,24 @@ def test_diag_scale_equals_diagonal_matmul():
     x = RNG.normal(size=(6, 4))
     d = RNG.normal(size=4)
     assert np.allclose(diag_scale(x, d), x @ np.diag(d), atol=1e-15)
+
+
+@pytest.mark.parametrize("width", [3, 32, 127, 128, 200])
+@pytest.mark.parametrize("pieces", [1, 5])
+def test_diag_scale_tiled_and_broadcast_are_the_same_product(width, pieces, monkeypatch):
+    # a (pieces, rows, width) view, strided as a tap's source is
+    x = RNG.normal(size=(pieces, 20, width))[:, 3:]
+    d = RNG.normal(size=width)
+    want = (x * d).tobytes()
+    for narrow in (0, 10**9):  # never tiled, always tiled
+        monkeypatch.setattr(numerics_mod, "_NARROW_ROW", narrow)
+        assert diag_scale(x, d).tobytes() == want
+    tiled = np.tile(d, (x.shape[1], 1))
+    assert diag_scale(x, tiled).tobytes() == want  # an operand of x's trailing shape
+    with pytest.raises(DimensionError, match="vector length"):
+        diag_scale(x, np.ones(width + 1))
+    with pytest.raises(DimensionError, match="vector length"):
+        diag_scale(x, np.ones((x.shape[1] + 1, width)))
 
 
 def test_diag_scale_backward_matches_finite_differences():
@@ -358,3 +377,30 @@ def test_accumulate_writes_the_first_part_after_zero_grad_and_adds_the_rest_in_o
         p.accumulate(np.ones((2, 4)))
     with pytest.raises(DimensionError):
         p.accumulate(np.ones(3))
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 20])
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (3, 4)])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_accumulate_equals_adds_one_part_at_a_time(count, shape, contiguous):
+    # numpy sums a single entry's 8 or more parts, or parts that lie along
+    # its inner loop, pairwise; accumulate must still add them in order
+    rng = np.random.default_rng(count)
+    parts = rng.normal(size=(count,) + shape) * 10.0 ** rng.integers(-16, 17, (count,) + shape)
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    parts[0].reshape(-1)[0] = -0.0  # a first part's -0.0 is written
+    if count >= 8:  # in order the last entry sums to 1, pairwise to 0
+        parts.reshape(count, -1)[:, -1] = [1.0, 1e16, -1e16, 1.0] + [0.0] * (count - 4)
+    if not contiguous:  # the parts axis laid out innermost
+        parts = np.moveaxis(np.ascontiguousarray(np.moveaxis(parts, 0, -1)), -1, 0)
+    want = parts[0].copy()
+    for part in parts[1:]:
+        want += part
+    p = Parameter(np.zeros(shape), "p")
+    p.accumulate(parts)
+    assert p.grad.tobytes() == want.tobytes()
+    more = rng.normal(size=(3,) + shape)
+    for part in more:
+        want += part
+    p.accumulate(more)
+    assert p.grad.tobytes() == want.tobytes()

@@ -363,6 +363,158 @@ def test_sgd_makes_no_full_size_temporary():
     assert peak < 1_000_000
 
 
+def trained_model(**kw):
+    """small_model with its grad and velocity buffers made as `fit` makes
+    them, views of the model's flat arrays."""
+    model = small_model(**kw)
+    for p in model.params.parameters():
+        p._make_buffers()
+    return model
+
+
+def runs_of(params):
+    return [[p.name for p in run] for run, *_ in numerics_mod._runs(params.parameters())]
+
+
+def own_copy(params):
+    """A deep copy whose every parameter holds arrays of its own: the
+    literal update's oracle."""
+    import copy
+
+    twin = copy.deepcopy(params)
+    assert all(len(run) == 1 for run in runs_of(twin))
+    return twin
+
+
+@pytest.mark.parametrize("l2, momentum", [(0.0, 0.0), (1e-3, 0.9)])
+def test_sgd_on_model_params_is_one_run_equal_to_the_whole_array_update(l2, momentum):
+    model = trained_model(direction="bi", shared_weight_form="full")
+    params = model.params
+    assert runs_of(params) == [[p.name for p in params.parameters()]]
+    literal = own_copy(params)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        for p, q in zip(params.parameters(), literal.parameters()):
+            p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape)
+        sgd_step(params, 0.1, momentum, l2)
+        for q in literal.parameters():
+            sgd_literal(q, 0.1, momentum, l2)
+        for p, q in zip(params.parameters(), literal.parameters()):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
+            assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
+            assert not p.grad.any()
+
+
+def test_sgd_nonfinite_middle_parameter_of_a_run_leaves_it_and_later_ones_untouched():
+    params = trained_model(num_memory_layers=3).params
+    plist = params.parameters()
+    bad = plist.index(params.layer_w[1])
+    rng = np.random.default_rng(9)
+    for p in plist:
+        p.grad[...] = rng.normal(size=p.value.shape)
+    params.layer_w[1].grad[2, 1] = np.inf
+    literal = own_copy(params)
+    for q in literal.parameters()[:bad]:
+        sgd_literal(q, 0.1, 0.9, 1e-3)
+    kept = [(p.value.copy(), p.grad.copy()) for p in plist[bad:]]
+
+    with pytest.raises(NumericError, match="non-finite update for layer2_w "):
+        sgd_step(params, 0.1, 0.9, 1e-3)
+    for p, q in zip(plist[:bad], literal.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert not p.grad.any(), p.name
+    for p, (value, grad) in zip(plist[bad:], kept):
+        assert np.array_equal(p.value, value), p.name
+        assert np.array_equal(p.grad, grad), p.name
+
+
+def test_a_deep_copy_trains_on_its_own_arrays():
+    import copy
+
+    params = trained_model().params
+    before = [p.value.copy() for p in params.parameters()]
+    twin = copy.deepcopy(params)
+    for p, q in zip(params.parameters(), twin.parameters()):
+        for a, b in ((p.value, q.value), (p.grad, q.grad), (p.velocity, q.velocity)):
+            assert not np.shares_memory(a, b), p.name
+    literal = own_copy(params)
+    for q, r in zip(twin.parameters(), literal.parameters()):
+        q.grad[...] = r.grad[...] = RNG.normal(size=q.value.shape)
+    sgd_step(twin, 0.1, 0.9, 1e-3)
+    for r in literal.parameters():
+        sgd_literal(r, 0.1, 0.9, 1e-3)
+    for p, q, r, value in zip(params.parameters(), twin.parameters(), literal.parameters(), before):
+        assert np.array_equal(p.value, value), p.name
+        assert q.value.tobytes() == r.value.tobytes(), q.name
+
+
+def test_a_parameter_given_a_new_value_array_is_a_run_of_its_own():
+    params = trained_model().params
+    names = [p.name for p in params.parameters()]
+    i = names.index("shared_past")
+    params.shared_past.value = params.shared_past.value + 1.0
+    assert params.shared_past.grad.base is not None  # still the view made before
+    assert runs_of(params) == [names[:i], [names[i]], names[i + 1 :]]
+    literal = own_copy(params)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        p.grad[...] = q.grad[...] = RNG.normal(size=p.value.shape)
+    sgd_step(params, 0.1, 0.9, 1e-3)
+    for q in literal.parameters():
+        sgd_literal(q, 0.1, 0.9, 1e-3)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
+    # a fresh grad buffer of the rebound parameter is an array of its own
+    del params.shared_past.grad
+    assert params.shared_past.grad.base is None
+
+
+def test_sgd_on_some_of_a_models_parameters_updates_each_adjacent_stretch():
+    # every other parameter: neighbours in the list that are not neighbours
+    # in the flat arrays are runs of their own
+    params = trained_model().params
+    chosen = ParamList(params.parameters()[::2])
+    assert all(len(run) == 1 for run in runs_of(chosen))
+    literal = own_copy(params)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        p.grad[...] = q.grad[...] = RNG.normal(size=p.value.shape)
+    sgd_step(chosen, 0.1, 0.9, 1e-3)
+    for q in literal.parameters()[::2]:
+        sgd_literal(q, 0.1, 0.9, 1e-3)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
+def test_fit_takes_over_buffers_that_existed_before_it_by_copying_them_in():
+    train = random_corpus(6, t_frames=15, seed=1)
+    valid = random_corpus(2, t_frames=15, seed=2)
+    config = TrainConfig(max_epochs=1, base_lr=0.05, peak_lr=0.1, seed=3)
+    own, viewed = small_model(), small_model()
+    rng = np.random.default_rng(12)
+    for p, q in zip(own.params.parameters(), viewed.params.parameters()):
+        velocity = rng.normal(size=p.value.shape) * 1e-3
+        p.velocity = velocity.copy()  # a buffer of its own, not a view
+        q.velocity[...] = velocity
+    assert all(len(run) == 1 for run in runs_of(own.params))
+    fit(own, train, valid, config)
+    fit(viewed, train, valid, config)
+    assert runs_of(own.params) == [[p.name for p in own.params.parameters()]]
+    for p, q in zip(own.params.parameters(), viewed.params.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
+
+
+def test_zero_grads_clears_the_flat_gradients_and_a_buffer_of_its_own():
+    params = trained_model().params
+    params.shared_past.grad = np.ones_like(params.shared_past.value)  # its own
+    for p in params.parameters():
+        p.accumulate(np.ones((1,) + p.value.shape))
+    params.zero_grads()
+    assert not any(p.grad.any() for p in params.parameters())
+    assert all(p.grad_to_overwrite() is p.grad for p in params.parameters())
+
+
 # --- loss actually goes down ----------------------------------------------------
 
 
@@ -927,6 +1079,31 @@ def test_fit_rejects_class_overflow():
     valid = random_corpus(2, t_frames=10, num_classes=9, seed=2)
     with pytest.raises(ValueError):
         fit(model, train, valid, TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("which", ["train", "valid"])
+@pytest.mark.parametrize("label", [7, -1])
+def test_fit_rejects_a_label_out_of_range_before_the_first_step(which, label, monkeypatch):
+    model = small_model()  # 3 classes
+    corpora = {"train": random_corpus(4, t_frames=10, seed=1),
+               "valid": random_corpus(2, t_frames=10, seed=2)}
+    corpora[which].utterances[1].labels[5] = label
+    steps = []
+    monkeypatch.setattr(trainer_mod, "sgd_step", lambda *args: steps.append(args))
+    with pytest.raises(LabelError, match=rf"^{which} corpus: utterance 'u1' has label {label} "
+                                         r"out of range \[0, 3\) at frame 5$"):
+        fit(model, corpora["train"], corpora["valid"], TrainConfig(max_epochs=1))
+    assert steps == []
+
+
+@pytest.mark.parametrize("labels", [np.zeros(9, dtype=np.int64), np.zeros(10)],
+                         ids=["one short", "floats"])
+def test_check_corpus_rejects_labels_that_are_not_one_integer_per_frame(labels):
+    model = small_model()
+    corpus = random_corpus(3, t_frames=10, seed=1)
+    corpus.utterances[2].labels = labels
+    with pytest.raises(ValueError, match="utterance 'u2' needs one integer label per frame"):
+        check_corpus(model.config, corpus, "train")
 
 
 def test_fit_rejects_empty_corpus():
