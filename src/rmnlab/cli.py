@@ -31,7 +31,7 @@ from .model import (
     randomize_params,
     save_checkpoint,
 )
-from .numerics import NumericError, grad_check_resolved
+from .numerics import GRAD_BOUND, NumericError, grad_check_resolved
 from .trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -259,9 +259,9 @@ def cmd_gradcheck(args) -> int:
     err, unresolved = check_gradients(params, config, x, labels, corrupt=args.corrupt_gradient,
                                       checker=grad_check_resolved)
     print(f"max_rel_error {err:.3e}")
-    # entries a central difference cannot tell from zero; not compared
+    # entries too small for a central difference to resolve to GRAD_BOUND; not compared
     print(f"unresolved {unresolved} entries below the loss's finite-difference resolution")
-    if err < 1e-4:
+    if err < GRAD_BOUND:
         print("gradcheck PASS")
         return 0
     print("gradcheck FAIL")

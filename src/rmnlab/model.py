@@ -273,16 +273,15 @@ class ForwardCache:
     the whole input; every other array covers only the rows its stage
     computed, given by `spans` (see `forward`): outs[j] covers spans[j],
     `input_post` and `layer_pre[l]` cover spans[l] like the outs[l] they
-    feed (l = 0 for the input block), `layer_sum[l]` covers spans[l + 1]
+    feed (l = 0 for the input block), `layer_mask[l]` covers spans[l + 1]
     like outs[l + 1], and `out1_post` and `logits` cover spans[-1], the
     requested rows. `input_post`, `proj_post` and `out1_post` feed the
     weight gradients of the affine after them and serve as their blocks'
     relu masks (relu(p) is positive exactly where p is). `layer_pre` holds
-    each layer's own affine output (the tap source), `layer_sum` the relu
-    input after the delayed taps (the layer's mask), `layer_out` the value
-    after any shortcut. The taps enter `layer_sum` by the tap rule
-    (`_add_taps`). `wiring` is the wiring the forward worked out and ran
-    (`_wiring`), which `backward` follows.
+    each layer's own affine output (the tap source), `layer_mask` the bool
+    mask z > 0 of its relu input z (pre plus the taps, `_add_taps`; no array
+    keeps z), `layer_out` the value after any shortcut. `wiring` is the
+    wiring the forward worked out and ran (`_wiring`), which `backward` follows.
 
     With `pieces` = B > 1, x stacks B utterances of equal length, one after
     another, and every other array stacks B pieces of the rows above, each
@@ -295,7 +294,7 @@ class ForwardCache:
     input_post: np.ndarray
     proj_post: np.ndarray
     layer_pre: list[np.ndarray]
-    layer_sum: list[np.ndarray]
+    layer_mask: list[np.ndarray]
     layer_out: list[np.ndarray]
     out1_post: np.ndarray
     logits: np.ndarray
@@ -307,32 +306,32 @@ class ForwardCache:
 
 class _Buffers:
     """Arrays a training run reuses from step to step (`trainer.fit`): each
-    name is a view of one flat buffer, which grows to the largest size asked
-    for. The view made for a name and shape is handed out again until the
-    name's buffer grows."""
+    name and dtype views one flat buffer of its own, grown to the largest size
+    asked for; the view of a shape is handed out again until the buffer grows."""
 
     def __init__(self):
-        self._flat: dict[str, tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]] = {}
+        self._flat: dict[tuple[str, type], tuple[np.ndarray, dict[tuple, np.ndarray]]] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised array of `shape`, which overwrites whatever the
-        last array of this name held."""
-        flat, views = self._flat.get(name, (None, {}))
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype`, which overwrites
+        whatever the last array of this name and dtype held."""
+        flat, views = self._flat.get((name, dtype), (None, {}))
         view = views.get(shape)
         if view is None:
             size = math.prod(shape)
             if flat is None or flat.size < size:
-                flat, views = np.empty(size), {}
-                self._flat[name] = flat, views
+                flat, views = np.empty(size, dtype), {}
+                self._flat[name, dtype] = flat, views
             view = views[shape] = flat[:size].reshape(shape)
         return view
 
 
 def _take(buffers: _Buffers | None):
     """The `take` of a pass: `buffers.take`, or without buffers a fresh
-    array on every call, so a cache handed out stays valid after later
-    calls."""
-    return (lambda name, shape: np.empty(shape)) if buffers is None else buffers.take
+    array on every call, so a cache stays valid after later calls."""
+    if buffers is None:
+        return lambda name, shape, dtype=np.float64: np.empty(shape, dtype)
+    return buffers.take
 
 
 def _window(a: np.ndarray, pieces: int, i0: int, i1: int) -> np.ndarray:
@@ -590,14 +589,13 @@ def forward(
     the stacked rows, which may round a row in its last bits unlike a pass
     over its utterance alone. It takes neither `rows`, `carry` nor `pieces`.
 
-    Every mode runs one memory-layer body: a layer's relu input z is a copy
-    of its pre-activation rows (in scoring, where nothing later reads them,
-    the array itself), its taps are added into z by the tap rule
-    (`_add_taps`), and the relu, in z but in training (which caches z), and
-    the shortcut add follow.
+    Every mode runs one memory-layer body: the relu input z, the layer's
+    pre-activation rows copied into its output array (in scoring the
+    pre-activation itself, read by nothing later), gains the taps
+    (`_add_taps`); training caches z > 0; the relu in z and the shortcut follow.
 
     `buffers` (a `_Buffers`, `trainer.fit`'s) receives every stage array,
-    relu input and tap product of the call and, through the cache, every
+    relu mask and tap product of the call and, through the cache, every
     array of its `backward`, which writes its gradients over the cache
     arrays it has finished reading: such a cache serves one `backward`,
     and the next call with the same buffers overwrites it. Without buffers
@@ -657,7 +655,7 @@ def forward(
     for l, (_, src) in enumerate(wiring):
         if src is not None:
             last_reader[src] = l
-    layer_pre, layer_sum = [], []
+    layer_pre, layer_mask = [], []
     for l, (taps, src) in enumerate(wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
         # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
@@ -665,21 +663,21 @@ def forward(
         pre = keep(f"pre{l}", l, stage(f"pre{l}", outs[l][first[l] - a :], params.layer_w[l],
                                         params.layer_b[l]))
         pre3 = pre.reshape(pieces, -1, pre.shape[1])
-        # in scoring every span is the whole group, and nothing else reads pre
-        z = pre if scoring else take(f"sum{l}", (pieces * (d - f), pre.shape[1]))
+        # z becomes the output in place; scoring's z is pre, which nothing else reads
+        z = pre if scoring else take(f"out{l}", (pieces * (d - f), pre.shape[1]))
         z3 = z.reshape(pieces, -1, pre.shape[1])
         if not scoring:
             np.copyto(z3, pre3[:, f - a : d - a])
         _add_taps(z3, pre3, f - a, [(s.value, k) for s, k in taps], starts, take)
-        out = _relu(z, take(f"out{l}", z.shape)) if training else _relu(z, z)
-        if src is not None:
-            c, out3 = spans[src][0], out.reshape(z3.shape)
-            out3 += outs[src].reshape(pieces, -1, out.shape[1])[:, f - c : d - c]
         if training:
             layer_pre.append(pre)
-            layer_sum.append(z)
-        else:  # drop what no later stage or shortcut reads
-            pre = z = pre3 = z3 = out3 = None
+            layer_mask.append(np.greater(z, 0.0, out=take(f"mask{l}", z.shape, bool)))
+        out = _relu(z, z)
+        if src is not None:
+            c = spans[src][0]
+            z3 += outs[src].reshape(pieces, -1, out.shape[1])[:, f - c : d - c]
+        if not training:  # drop what no later stage or shortcut reads
+            pre = z = pre3 = z3 = None
             for j in (l, src):
                 if j is not None and last_reader[j] == l:
                     outs[j] = None
@@ -698,7 +696,7 @@ def forward(
         input_post=input_post,
         proj_post=outs[0],
         layer_pre=layer_pre,
-        layer_sum=layer_sum,
+        layer_mask=layer_mask,
         layer_out=outs[1:],
         out1_post=out1_post,
         logits=logits,
@@ -744,24 +742,25 @@ def backward(
     The wiring is that of the forward that built the cache (its `wiring`);
     nothing of `config` is read for it, so a config changed since that
     forward changes nothing here. Only the products are computed. A memory
-    layer's relu gradient g is written into its own array (its incoming
-    gradient may also be a shortcut's). Once the shared transforms' weight
-    gradients have read g, the adjoint of each tap (S, k), the tap (S^T, -k)
-    on g's rows, is added into g by the tap rule (`_add_taps`). The weight gradients read their
-    taps from `_tap_source` as well: the column sum of tap × g for the
-    diagonal form, and `tap.T @ g` on the zero-padded tap for the full
-    form, since a GEMM with a shorter inner dimension rounds differently;
-    each layer's are kept until the pass ends, and then go to `accumulate`
-    in one stack, piece by piece, top layer down within a piece.
-    No copy of the relu gradient and no gradient at the input features is
-    built, and a lone piece's weight product after `zero_grad` is written
-    straight into its grad buffer. Every array the pass makes comes from
-    the cache's buffers (see `forward`): a gradient takes the place of a
-    cache array the pass has read for the last time (the relu input of its
-    layer, a pre-activation the taps have read, a block's output once its
-    weight gradient has read it), and the tap and weight products have
-    arrays of their own. A non-finite gradient reaching a relu stays
-    non-finite (`relu_backward`).
+    layer's relu gradient g, its incoming gradient times the cached mask, is
+    written into an array of its own (the incoming gradient may also be a
+    shortcut's) that every layer's g reuses. Once the shared transforms'
+    weight gradients have read g, the adjoint of each tap (S, k), the tap
+    (S^T, -k) on g's rows, is added into g by the tap rule (`_add_taps`).
+    The weight gradients read their taps from `_tap_source` as well: the
+    column sum of tap × g for the diagonal form, and `tap.T @ g` on the
+    zero-padded tap for the full form, since a GEMM with a shorter inner
+    dimension rounds differently; each layer's are kept until the pass ends,
+    and then go to `accumulate` in one stack, piece by piece, top layer down
+    within a piece. No copy of the relu gradient and no gradient at the
+    input features is built, and a lone piece's weight product after
+    `zero_grad` is written straight into its grad buffer. Every array the
+    pass makes comes from the cache's buffers (see `forward`): a gradient
+    takes the place of a cache array the pass has read for the last time (a
+    pre-activation the taps have read, a block's output once its weight
+    gradient has read it), and g and the tap and weight products have arrays
+    of their own. A non-finite gradient reaching a relu stays non-finite
+    (`relu_backward`: a gradient times a mask).
     """
     if cache.params_ref is not params:
         raise ConsistencyError("cache was produced by a different ModelParams instance")
@@ -829,9 +828,10 @@ def backward(
         if src is not None:
             g_outs[src] = g_out
         a, pre = spans[l][0], cache.layer_pre[l]
-        # g_out may be a shortcut's too, so g_sum takes the layer's relu input's place
-        g_sum = _relu_backward(win(cache.layer_sum[l], spans[l + 1][0]), g_out,
-                               take(f"sum{l}", g_out.shape))
+        # g_out may be a shortcut's too, so g_sum is in one array of its own,
+        # which every layer reuses: its weight gradients read it last
+        g_sum = np.multiply(g_out, win(cache.layer_mask[l], spans[l + 1][0]),
+                            out=take("g_sum", g_out.shape))
         g3 = g_sum.reshape(pieces, -1, g_sum.shape[1])
         pre3 = pre.reshape(pieces, -1, pre.shape[1])
         taps = [(s.value, k) for s, k in layer_taps]

@@ -49,6 +49,7 @@ __all__ = [
     "softmax_xent",
     "xent_loss",
     "xent_terms",
+    "GRAD_BOUND",
     "grad_check",
     "grad_check_resolved",
 ]
@@ -484,14 +485,18 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
     return worst
 
 
+GRAD_BOUND = 1e-4  # the worst relative error a finite-difference check passes
+
+
 def grad_check_resolved(f, params, epsilon: float = 1e-5) -> tuple[float, int]:
     """`grad_check`, but an entry whose analytic and numeric values both lie
-    below the loss's finite-difference resolution, spacing(f()) / epsilon,
-    is counted as unresolved instead of compared: a central difference
-    cannot tell such a gradient from zero, so its relative error says
-    nothing. Returns (worst relative error over the other entries, number
-    of unresolved entries)."""
-    resolution = float(np.spacing(abs(f()))) / epsilon
+    below the loss's finite-difference resolution at GRAD_BOUND,
+    spacing(f()) / epsilon / GRAD_BOUND, is counted as unresolved instead
+    of compared. A central difference rounds by about spacing(f()) /
+    epsilon, so below that resolution its rounding alone can take an
+    entry's relative error past GRAD_BOUND. Returns (worst relative error
+    over the other entries, number of unresolved entries)."""
+    resolution = float(np.spacing(abs(f()))) / epsilon / GRAD_BOUND
     worst, unresolved = 0.0, 0
     for analytic, numeric in _gradient_pairs(f, params, epsilon):
         if max(abs(analytic), abs(numeric)) < resolution:

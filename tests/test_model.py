@@ -40,12 +40,21 @@ from rmnlab.model import (
 from rmnlab.model import _rows
 from rmnlab import model as model_mod
 from rmnlab import numerics as numerics_mod
-from rmnlab.numerics import DimensionError, Parameter, affine, relu, softmax_xent
+from rmnlab.numerics import (GRAD_BOUND, DimensionError, Parameter, affine, grad_check_resolved,
+                             relu, softmax_xent, xent_loss)
 
 from reference_model import (grad_errors, named_grads, ref_backward, ref_forward, ref_grad_scale,
                              rel_max)
 
 RNG = np.random.default_rng(123)
+
+
+@pytest.fixture(autouse=True)
+def fresh_rng():
+    """Every test draws its data from RNG as seeded, whichever tests ran
+    before it."""
+    global RNG
+    RNG = np.random.default_rng(123)
 
 
 def tiny_config(**kw):
@@ -324,7 +333,7 @@ def backward_literal(params, cfg, cache, labels, grads, loss_scale=1.0, grad_win
         if src is not None:
             g_outs[src] = g_out
         a = spans[l][0]
-        g_sum = relu_grad(win(cache.layer_sum[l], spans[l + 1][0]), g_out)
+        g_sum = np.where(win(cache.layer_mask[l], spans[l + 1][0]), g_out, 0.0)
         g_pre = g_sum.copy()
         for shared, k in taps:
             tap = _rows(cache.layer_pre[l], lo - a - k, hi - a - k)
@@ -444,7 +453,9 @@ def test_scoring_forward_equals_the_padded_formulation_bit_for_bit(variant):
         want, sums, outs = scoring_forward_literal(params, cfg, x, [t_frames])
         cache, logits = forward(params, cfg, x)
         assert np.array_equal(logits, want), t_frames
-        for got, literal in zip(cache.layer_sum + cache.layer_out, sums + outs, strict=True):
+        for mask, z in zip(cache.layer_mask, sums, strict=True):
+            assert mask.dtype == bool and np.array_equal(mask, z > 0.0), t_frames
+        for got, literal in zip(cache.layer_out, outs, strict=True):
             assert np.array_equal(got, literal), t_frames
         assert np.array_equal(streaming_forward(params, cfg, x, t_frames, 0), want), t_frames
 
@@ -490,7 +501,7 @@ def test_trimmed_forward_caches_only_the_rows_that_reach_the_output(direction, r
 
     for l in range(l_count):
         assert len(cache.layer_pre[l]) == length(l)
-        assert len(cache.layer_sum[l]) == len(cache.layer_out[l]) == length(l + 1)
+        assert len(cache.layer_mask[l]) == len(cache.layer_out[l]) == length(l + 1)
     for a in (cache.input_post, cache.proj_post):
         assert len(a) == length(0)
     for a in (cache.out1_post, cache.logits):
@@ -518,13 +529,28 @@ def test_backward_loss_scale_scales_gradients():
 # --- finite-difference gradient checks ---------------------------------------
 
 
+def assert_gradients_pass(params, cfg, x, labels):
+    """`check_gradients` with `grad_check_resolved` passes at GRAD_BOUND, in
+    one sweep. An entry below spacing(loss) / epsilon / GRAD_BOUND is not
+    compared, since the difference's rounding alone could take its
+    relative error past the bound; most entries must still be compared, and
+    few of those left out may have an analytic gradient of spacing(loss) /
+    epsilon or more, which a difference can tell from zero."""
+    worst, unchecked = check_gradients(params, cfg, x, labels, checker=grad_check_resolved)
+    zero = np.spacing(xent_loss(forward(params, cfg, x, lengths=[len(x)]), labels)) / 1e-5
+    g = np.abs(np.concatenate([p.grad.reshape(-1) for p in params.parameters()]))
+    resolvable = np.count_nonzero((g >= zero) & (g < zero / GRAD_BOUND))
+    assert worst < GRAD_BOUND
+    assert unchecked <= param_count(cfg) // 2 and resolvable <= param_count(cfg) // 50
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_gradients_pass_finite_difference_check(variant):
     cfg = tiny_config(**variant)
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (7, cfg.input_dim))
     labels = RNG.integers(0, cfg.num_classes, 7)
-    assert check_gradients(params, cfg, x, labels) < 1e-4
+    assert_gradients_pass(params, cfg, x, labels)
 
 
 def test_gradients_pass_without_residual_and_without_delay():
@@ -533,7 +559,7 @@ def test_gradients_pass_without_residual_and_without_delay():
         params = ready_params(cfg)
         x = RNG.uniform(-2, 2, (7, cfg.input_dim))
         labels = RNG.integers(0, cfg.num_classes, 7)
-        assert check_gradients(params, cfg, x, labels) < 1e-4
+        assert_gradients_pass(params, cfg, x, labels)
 
 
 def test_corrupted_gradient_fails_the_check():
@@ -542,6 +568,27 @@ def test_corrupted_gradient_fails_the_check():
     x = RNG.uniform(-2, 2, (7, cfg.input_dim))
     labels = RNG.integers(0, cfg.num_classes, 7)
     assert check_gradients(params, cfg, x, labels, corrupt=True) > 1e-2
+    assert check_gradients(params, cfg, x, labels, corrupt=True,
+                           checker=grad_check_resolved)[0] > 1e-2
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_the_check_sees_an_error_in_the_smallest_entry_it_checks(variant):
+    # the smallest analytic entry at twice the rule's floor, off by ten times
+    # the bound, fails the check
+    cfg = tiny_config(**variant)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (7, cfg.input_dim))
+    labels = RNG.integers(0, cfg.num_classes, 7)
+
+    def mutated(f, ps, epsilon):
+        floor = 2.0 * float(np.spacing(abs(f()))) / epsilon / GRAD_BOUND
+        _, n, i = min((abs(g), n, i) for n, p in enumerate(ps)
+                      for i, g in enumerate(p.grad.reshape(-1)) if abs(g) >= floor)
+        ps[n].grad.reshape(-1)[i] *= 1.0 + 10 * GRAD_BOUND
+        return grad_check_resolved(f, ps, epsilon)
+
+    assert check_gradients(params, cfg, x, labels, checker=mutated)[0] > GRAD_BOUND
 
 
 # --- structural invariants ----------------------------------------------------
@@ -624,12 +671,17 @@ def test_bidirectional_output_depends_on_future():
     assert not np.array_equal(base[:9], moved[:9])
 
 
-def assert_shortcuts(cache, sources):
-    """Every layer's output is relu(layer_sum) exactly, plus outs[j] for a
-    layer numbered n (from 1) with sources[n] = j, where outs = [projection
+def assert_shortcuts(params, cfg, x, sources):
+    """In a training forward over x, every layer's mask is its literal relu
+    input z > 0 and its output is relu(z) exactly, plus outs[j] for a layer
+    numbered n (from 1) with sources[n] = j, where outs = [projection
     output] + layer outputs."""
+    cache, _ = forward(params, cfg, x)
+    _, sums, _ = scoring_forward_literal(params, cfg, x, [len(x)])
     outs = [cache.proj_post] + cache.layer_out
-    for n, (z, out) in enumerate(zip(cache.layer_sum, cache.layer_out), start=1):
+    for n, (z, mask, out) in enumerate(zip(sums, cache.layer_mask, cache.layer_out, strict=True),
+                                       start=1):
+        assert np.array_equal(mask, z > 0.0), f"layer {n}"
         expected = np.maximum(z, 0.0)
         if n in sources:
             expected = expected + outs[sources[n]]
@@ -640,19 +692,17 @@ def test_residual_shortcut_is_exact_identity():
     cfg = tiny_config(num_memory_layers=4, residual_interval=2)
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (8, cfg.input_dim))
-    cache, _ = forward(params, cfg, x)
     # each shortcut adds the previous shortcut's output (the projection for
     # the first block)
-    assert_shortcuts(cache, {2: 0, 4: 2})
+    assert_shortcuts(params, cfg, x, {2: 0, 4: 2})
 
 
 def test_trailing_partial_block_gets_no_shortcut():
     cfg = tiny_config(num_memory_layers=5, residual_interval=3)
     params = ready_params(cfg)
     x = RNG.uniform(-2, 2, (6, cfg.input_dim))
-    cache, _ = forward(params, cfg, x)
     # layers 4 and 5 are plain relu(sum)
-    assert_shortcuts(cache, {3: 0})
+    assert_shortcuts(params, cfg, x, {3: 0})
 
 
 def pass_outputs(params, cfg, x, labels):
@@ -1444,7 +1494,7 @@ def test_a_group_of_pieces_is_the_pieces_one_after_another_bit_for_bit(variant, 
     for name in ("input_post", "proj_post", "out1_post", "logits"):
         assert np.array_equal(getattr(group, name),
                               np.concatenate([getattr(c, name) for c, _ in alone])), name
-    for name in ("layer_pre", "layer_sum", "layer_out"):
+    for name in ("layer_pre", "layer_mask", "layer_out"):
         for l, got in enumerate(getattr(group, name)):
             assert np.array_equal(got, np.concatenate([getattr(c, name)[l] for c, _ in alone]))
     assert np.array_equal(logits, np.concatenate([lg for _, lg in alone]))
@@ -1496,6 +1546,56 @@ def test_buffers_hand_out_views_of_the_new_buffer_once_a_name_grows():
     again = buffers.take("a", (2, 3))
     assert again is not small and np.shares_memory(again, big)
     assert not np.shares_memory(buffers.take("b", (2, 3)), big)
+
+
+def test_a_bool_buffer_name_gets_memory_of_its_own():
+    buffers = model_mod._Buffers()
+    floats = buffers.take("a", (4, 5))
+    mask = buffers.take("a", (4, 5), bool)
+    assert floats.dtype == np.float64 and mask.dtype == bool
+    assert not np.shares_memory(mask, floats)
+    assert buffers.take("a", (4, 5), bool) is mask and buffers.take("a", (4, 5)) is floats
+    # a training pass's masks lie apart from every float array of its cache
+    cfg = tiny_config(num_memory_layers=4)
+    cache, _ = forward(ready_params(cfg), cfg, RNG.uniform(-2, 2, (24, cfg.input_dim)), pieces=2,
+                       buffers=buffers)
+    floats = [cache.x, cache.input_post, cache.proj_post, *cache.layer_pre, *cache.layer_out,
+              cache.out1_post, cache.logits]
+    for l, m in enumerate(cache.layer_mask):
+        assert m.dtype == bool and not any(np.shares_memory(m, a) for a in floats), l
+
+
+def test_a_relu_input_of_exactly_zero_is_masked_out():
+    # the subgradient at 0 is 0: a memory layer with zero weights, bias and
+    # shared transform has relu input 0 everywhere, so no gradient crosses it
+    cfg = tiny_config(residual_interval=None)
+    params = ready_params(cfg)
+    for p in (params.layer_w[1], params.layer_b[1], params.shared_past):
+        p.value[...] = 0.0
+    x = RNG.uniform(-2, 2, (9, cfg.input_dim))
+    cache, _ = forward(params, cfg, x)
+    assert not cache.layer_mask[1].any() and not cache.layer_out[1].any()
+    params.zero_grads()
+    backward(params, cfg, cache, RNG.integers(0, cfg.num_classes, 9))
+    below = [params.input_w, params.proj_w, params.layer_w[0], params.layer_w[1]]
+    assert not any(p.grad.any() for p in below)
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_a_training_cache_holds_its_arrays_in_the_analytic_byte_count(variant, pieces):
+    # float64 rows of the stage arrays and of each memory layer's pre-activation
+    # and output, one byte per entry of each layer's relu mask
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    x = RNG.uniform(-2, 2, (pieces * 30, cfg.input_dim))
+    cache, _ = forward(ready_params(cfg), cfg, x, rows=(8, 20), pieces=pieces)
+    rows = [pieces * (b - a) for a, b in cache.spans]
+    m, wide, classes = cfg.memory_dim, cfg.wide_dim, cfg.num_classes
+    layers = sum(8 * rows[l] * m + (1 + 8) * rows[l + 1] * m for l in range(4))
+    assert sum(a.nbytes for a in cache.layer_pre + cache.layer_mask + cache.layer_out) == layers
+    stages = x.nbytes + 8 * rows[0] * (wide + m) + 8 * rows[-1] * (wide + classes)
+    assert sum(a.nbytes for a in (cache.x, cache.input_post, cache.proj_post, cache.out1_post,
+                                  cache.logits)) == stages
 
 
 @pytest.mark.parametrize("memory_dim", [4, 130])
