@@ -280,8 +280,12 @@ class ForwardCache:
     relu masks (relu(p) is positive exactly where p is). `layer_pre` holds
     each layer's own affine output (the tap source), `layer_mask` the bool
     mask z > 0 of its relu input z (pre plus the taps, `_add_taps`; no array
-    keeps z), `layer_out` the value after any shortcut. `wiring` is the
-    wiring the forward worked out and ran (`_wiring`), which `backward` follows.
+    keeps z), `layer_out` the value after any shortcut, for the outputs a
+    shortcut reads and the last one only; the others are None, and
+    `output` rebuilds any of them from its layer's pre. So a memory layer
+    holds 9 bytes per row and unit, and 8 more where its output is held.
+    `wiring` is the wiring the forward worked out and ran (`_wiring`), which
+    `backward` and `output` follow.
 
     With `pieces` = B > 1, x stacks B utterances of equal length, one after
     another, and every other array stacks B pieces of the rows above, each
@@ -302,6 +306,33 @@ class ForwardCache:
     wiring: list = field(repr=False, default=None)
     pieces: int = 1
     buffers: _Buffers = field(repr=False, default=None)
+
+    def output(self, j: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Rows lo..hi-1 of each piece of outs[j], for `rows` = (lo, hi)
+        inside spans[j] (default: all of spans[j]), as one 2-D array: the
+        held array's rows (`_window`), or an output `layer_out` does not hold
+        rebuilt by the forward's memory-layer body (`_layer_body`) from its
+        layer's pre and held shortcut source, and so bit for bit. The
+        diagonal form rebuilds the rows asked for, each row's product its
+        own; the full form rebuilds every row the forward computed, since a
+        GEMM may round a row by the rows beside it. A rebuilt output lies in
+        the buffer `out`, which with `buffers` the next rebuild overwrites."""
+        outs = [self.proj_post] + self.layer_out
+        (a, b), pieces = self.spans[j], self.pieces
+        lo, hi = (a, b) if rows is None else rows
+        if outs[j] is not None:
+            return _window(outs[j], pieces, lo - a, hi - a)
+        taps, src = self.wiring[j - 1]
+        taps = [(s.value, k) for s, k in taps]
+        r0, r1 = (lo, hi) if all(s.ndim == 1 for s, _ in taps) else (a, b)
+        pre, take = self.layer_pre[j - 1], _take(self.buffers)
+        z = take("out", (pieces * (r1 - r0), pre.shape[1]))
+        shortcut = None
+        if src is not None:
+            c = self.spans[src][0]
+            shortcut = outs[src].reshape(pieces, -1, pre.shape[1])[:, r0 - c : r1 - c]
+        _layer_body(z, pre, pieces, r0 - self.spans[j - 1][0], taps, [], take, shortcut)
+        return _window(z, pieces, lo - r0, hi - r0)
 
 
 class _Buffers:
@@ -435,6 +466,26 @@ def _add_taps(z: np.ndarray, pre: np.ndarray, z0: int, taps, starts: list[int], 
         z[:, i0:i1] += product
 
 
+def _layer_body(z, pre, pieces: int, z0: int, taps, starts: list[int], take, shortcut=None,
+                mask=None) -> np.ndarray:
+    """The memory-layer body of every pass, into z, which holds rows z0..
+    of pre's numbering (both 2-D, stacking `pieces` pieces alike): z takes
+    pre's rows (unless z is pre itself, as in scoring) and gains the taps
+    (`_add_taps`); `mask`, when given, takes z > 0 of that relu input; then
+    z takes the relu in place and adds `shortcut`, a (pieces, rows, width)
+    view of the source's rows, when given. Returns z."""
+    z3, pre3 = z.reshape(pieces, -1, z.shape[1]), pre.reshape(pieces, -1, pre.shape[1])
+    if z is not pre:
+        np.copyto(z3, pre3[:, z0 : z0 + z3.shape[1]])
+    _add_taps(z3, pre3, z0, taps, starts, take)
+    if mask is not None:
+        np.greater(z, 0.0, out=mask)
+    _relu(z, z)
+    if shortcut is not None:
+        z3 += shortcut
+    return z
+
+
 def model_input(config: RMNConfig, features: np.ndarray, lengths=None) -> np.ndarray:
     """Splice raw features into the model's input layout when configured.
 
@@ -472,16 +523,23 @@ class Carry:
 
     Each window is a prefix of the utterance, so a window row is an
     utterance row. Each stage a later window reads lives in a buffer as
-    long as the utterance: the projection output (`proj_post`), and each
-    memory layer's pre-activation (`pre<l>`, the source of its taps) and
-    output (`out<l>`, read by the next layer and the shortcuts), 1 + 2L
-    buffers in all. A row of a stage is *final* when a later window, which
-    reaches at least as far right, cannot change it: the row plus the
-    stage's future reach lies inside the window, or the window ends where
-    the utterance ends. The future reach below span entry g is F_0 - F_g
-    (`_reach`): the sum of the delays of the layers below it for
-    bidirectional models, 0 for unidirectional ones. The next window
-    reads the final rows it needs from the buffers and recomputes the rest.
+    long as the utterance: the projection output (`proj_post`), each
+    memory layer's pre-activation (`pre<l>`, the source of its taps), and
+    the output of each layer that a shortcut reads (`out<l>`): 1 + L
+    buffers plus one per shortcut source among the layer outputs. The next
+    layer reads any other output only on the rows the window computes, and
+    the output blocks read every requested row of the last output, which a
+    window therefore computes afresh. At the paper's 18 layers with
+    residual_interval 3 that is 24 buffers (the outputs of layers 3, 6, 9,
+    12 and 15), against 37 for every output.
+
+    A row of a stage is *final* when a later window, which reaches at least
+    as far right, cannot change it: the row plus the stage's future reach
+    lies inside the window, or the window ends where the utterance ends.
+    The future reach below span entry g is F_0 - F_g (`_reach`): the sum of
+    the delays of the layers below it for bidirectional models, 0 for
+    unidirectional ones. The next window reads the final rows it needs from
+    the buffers and recomputes the rest.
 
     Neither the first requested row nor the window's end may lie before the
     previous call's: the buffers hold only the rows earlier calls reached.
@@ -497,7 +555,8 @@ class Carry:
 
     def start(self, config: RMNConfig, spans: list[tuple[int, int]], width: int) -> list[int]:
         """First row of each span the window [0, width) computes, taking the
-        rows before it from the buffers; records the window's final rows for
+        rows before it from the buffers, and all of the last span, the last
+        output's, which no buffer holds; records the window's final rows for
         the next call."""
         lo, (last_lo, last_width) = spans[-1][0], self._last
         if not (last_lo <= lo and last_width <= width <= self.t_frames):
@@ -506,7 +565,7 @@ class Carry:
                 f"{last_lo} of [0, {last_width}) in a {self.t_frames}-frame utterance"
             )
         done = self._final or [0] * len(spans)
-        first = [min(max(a, done[g]), b) for g, (a, b) in enumerate(spans)]
+        first = [min(max(a, done[g]), b) for g, (a, b) in enumerate(spans[:-1])] + [lo]
         reach = _reach(config)  # the future reach below entry g is F_0 - F_g
         final = [max(d, b if width == self.t_frames else min(b, width - reach[0][1] + f))
                  for d, (_, b), (_, f) in zip(first, spans, reach)]
@@ -589,10 +648,12 @@ def forward(
     the stacked rows, which may round a row in its last bits unlike a pass
     over its utterance alone. It takes neither `rows`, `carry` nor `pieces`.
 
-    Every mode runs one memory-layer body: the relu input z, the layer's
+    Every mode runs one memory-layer body (`_layer_body`), which
+    `ForwardCache.output` runs too: the relu input z, the layer's
     pre-activation rows copied into its output array (in scoring the
     pre-activation itself, read by nothing later), gains the taps
-    (`_add_taps`); training caches z > 0; the relu in z and the shortcut follow.
+    (`_add_taps`); training caches z > 0; the relu in z and the shortcut
+    follow.
 
     `buffers` (a `_Buffers`, `trainer.fit`'s) receives every stage array,
     relu mask and tap product of the call and, through the cache, every
@@ -604,9 +665,11 @@ def forward(
     The wiring, each layer's taps and shortcut, is worked out on each call
     (`_wiring`), and each tap reads its shared transform's values as the
     taps are added. Only the training call, with neither `carry` nor
-    `lengths`, builds a cache, which carries the wiring to `backward`. The
-    inference modes keep no stage array for a backward pass: one is dropped
-    once no later stage or shortcut reads it.
+    `lengths`, builds a cache, which carries the wiring to `backward`. A
+    stage array is dropped once no later stage, shortcut or pass reads it:
+    the inference modes keep none for a backward pass, and the training
+    call holds of the memory layers' outputs only the shortcut sources and
+    the last one (`ForwardCache`); the others share the buffer `out`.
     """
     scoring = lengths is not None
     if scoring and (rows is not None or carry is not None):
@@ -655,33 +718,39 @@ def forward(
     for l, (_, src) in enumerate(wiring):
         if src is not None:
             last_reader[src] = l
+    # the outputs a later pass reads on rows it does not compute: the next
+    # window the projection output and the shortcut sources (`carry.keep`),
+    # backward those and the last output. Any other output is dropped once
+    # the next layer has read it, and in a training call they share the
+    # buffer `out`.
+    carried = {0} | {src for _, src in wiring if src is not None}
+    held = carried | {len(wiring)} if training else set()
     layer_pre, layer_mask = [], []
     for l, (taps, src) in enumerate(wiring):
         # pre covers spans[l] = (a, _) like outs[l]; this layer's output covers
-        # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are new
+        # spans[l + 1] = (_, d); rows from first[l] and first[l + 1] = f on are
+        # new, and an output that is not carried holds only its new rows
         a, d, f = spans[l][0], spans[l + 1][1], first[l + 1]
-        pre = keep(f"pre{l}", l, stage(f"pre{l}", outs[l][first[l] - a :], params.layer_w[l],
-                                        params.layer_b[l]))
-        pre3 = pre.reshape(pieces, -1, pre.shape[1])
+        pre = keep(f"pre{l}", l, stage(f"pre{l}", outs[l][first[l] - a if l in carried else 0 :],
+                                        params.layer_w[l], params.layer_b[l]))
         # z becomes the output in place; scoring's z is pre, which nothing else reads
-        z = pre if scoring else take(f"out{l}", (pieces * (d - f), pre.shape[1]))
-        z3 = z.reshape(pieces, -1, pre.shape[1])
-        if not scoring:
-            np.copyto(z3, pre3[:, f - a : d - a])
-        _add_taps(z3, pre3, f - a, [(s.value, k) for s, k in taps], starts, take)
-        if training:
-            layer_pre.append(pre)
-            layer_mask.append(np.greater(z, 0.0, out=take(f"mask{l}", z.shape, bool)))
-        out = _relu(z, z)
+        z = pre if scoring else take(f"out{l}" if l + 1 in held else "out",
+                                     (pieces * (d - f), pre.shape[1]))
+        shortcut = None
         if src is not None:
             c = spans[src][0]
-            z3 += outs[src].reshape(pieces, -1, out.shape[1])[:, f - c : d - c]
-        if not training:  # drop what no later stage or shortcut reads
-            pre = z = pre3 = z3 = None
-            for j in (l, src):
-                if j is not None and last_reader[j] == l:
-                    outs[j] = None
-        outs.append(keep(f"out{l}", l + 1, out))
+            shortcut = outs[src].reshape(pieces, -1, pre.shape[1])[:, f - c : d - c]
+        mask = take(f"mask{l}", z.shape, bool) if training else None
+        out = _layer_body(z, pre, pieces, f - a, [(s.value, k) for s, k in taps], starts, take,
+                          shortcut, mask)
+        if training:
+            layer_pre.append(pre)
+            layer_mask.append(mask)
+        pre = z = shortcut = None
+        for j in (l, src):  # drop what no later stage, shortcut or backward reads
+            if j is not None and last_reader[j] == l and j not in held:
+                outs[j] = None
+        outs.append(keep(f"out{l}", l + 1, out) if l + 1 in carried else out)
 
     out1_post = stage("out1_post", outs[-1], params.out1_w, params.out1_b, relu=True)
     if not training:
@@ -737,7 +806,13 @@ def backward(
 
     Every gradient row outside the window is zero, so every GEMM, relu and
     diagonal scale runs on the window rows only; the delayed taps read
-    their `pre[t -/+ m]` values from the cache outside the window.
+    their `pre[t -/+ m]` values from the cache outside the window. The
+    weight gradients read each memory layer's input, and the first output
+    block's, through `ForwardCache.output`: an output the cache does not
+    hold is rebuilt from its layer's pre when the layer above reads it, on
+    the window rows (the full form on the rows the forward computed), in
+    the one buffer `out`; at the paper's residual_interval 3 that is 12
+    of 18 outputs, and at interval 1 none.
 
     The wiring is that of the forward that built the cache (its `wiring`);
     nothing of `config` is read for it, so a config changed since that
@@ -811,12 +886,11 @@ def backward(
     # classifier block
     g_out1_pre = relu_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits,
                             "out1_post")
-    outs = [cache.proj_post] + cache.layer_out
-    # g_outs[j]: the gradient at outs[j] from the readers of outs[j] walked so
-    # far, the layer above it and any shortcut
-    g_outs = {len(outs) - 1: grads(win(outs[-1], r_lo), params.out1_w, params.out1_b, g_out1_pre,
-                                   f"out{len(outs) - 2}")}
     wiring = cache.wiring
+    # g_outs[j]: the gradient at outs[j] (outs = [proj_post] + layer_out) from
+    # the readers of outs[j] walked so far, the layer above it and any shortcut
+    g_outs = {len(wiring): grads(cache.output(len(wiring), (lo, hi)), params.out1_w, params.out1_b,
+                                 g_out1_pre, f"out{len(wiring) - 1}")}
     # per tap i of every layer, the same shared transform's gradients: in
     # parts[i][p, j] piece p's of the j-th layer with a tap source, top layer down
     shared = [s for s, _ in wiring[0][0]]
@@ -850,7 +924,8 @@ def backward(
         # window's rows (.T leaves a diagonal form's vector as it is)
         _add_taps(g3, g3, 0, [(s.T, -k) for s, k in taps], [], take)
         # the gradient at outs[l] takes the place of pre, read last by the taps
-        g_below = grads(win(outs[l], a), params.layer_w[l], params.layer_b[l], g_sum, f"pre{l}")
+        g_below = grads(cache.output(l, (lo, hi)), params.layer_w[l], params.layer_b[l], g_sum,
+                        f"pre{l}")
         if l in g_outs:
             g_below += g_outs[l]
         g_outs[l] = g_below

@@ -424,8 +424,10 @@ def fit(
     `backward` call (`_train_step`). An epoch's steps share one set of
     buffers (`model._Buffers`): the stacked input, the stage arrays, relu
     gradients, tap products and weight products, each sized by the most
-    rows any step asked for. They are dropped before the epoch's scoring,
-    whose arrays therefore do not add to theirs.
+    rows any step asked for. The memory-layer outputs that the cache does
+    not hold (all but the shortcut sources and the last) and their rebuilds
+    in `backward` share one buffer. The buffers are dropped before the
+    epoch's scoring, whose arrays therefore do not add to theirs.
     """
     check_corpus(model.config, train_corpus, "train")
     check_corpus(model.config, valid_corpus, "valid")

@@ -326,7 +326,7 @@ def backward_literal(params, cfg, cache, labels, grads, loss_scale=1.0, grad_win
     g_logits *= loss_scale
     g = affine_grads(win(cache.out1_post, r_lo), params.out2_w, params.out2_b, g_logits)
     g = relu_grad(win(cache.out1_post, r_lo), g)
-    outs = [cache.proj_post] + cache.layer_out
+    outs = [cache.output(j) for j in range(len(spans))]
     g_outs = {len(outs) - 1: affine_grads(win(outs[-1], r_lo), params.out1_w, params.out1_b, g)}
     for l, (taps, src) in reversed(list(enumerate(model_mod._wiring(params, cfg)))):
         g_out = g_outs.pop(l + 1)
@@ -455,7 +455,7 @@ def test_scoring_forward_equals_the_padded_formulation_bit_for_bit(variant):
         assert np.array_equal(logits, want), t_frames
         for mask, z in zip(cache.layer_mask, sums, strict=True):
             assert mask.dtype == bool and np.array_equal(mask, z > 0.0), t_frames
-        for got, literal in zip(cache.layer_out, outs, strict=True):
+        for got, literal in zip(map(cache.output, range(1, len(cache.spans))), outs, strict=True):
             assert np.array_equal(got, literal), t_frames
         assert np.array_equal(streaming_forward(params, cfg, x, t_frames, 0), want), t_frames
 
@@ -501,7 +501,7 @@ def test_trimmed_forward_caches_only_the_rows_that_reach_the_output(direction, r
 
     for l in range(l_count):
         assert len(cache.layer_pre[l]) == length(l)
-        assert len(cache.layer_mask[l]) == len(cache.layer_out[l]) == length(l + 1)
+        assert len(cache.layer_mask[l]) == len(cache.output(l + 1)) == length(l + 1)
     for a in (cache.input_post, cache.proj_post):
         assert len(a) == length(0)
     for a in (cache.out1_post, cache.logits):
@@ -678,8 +678,8 @@ def assert_shortcuts(params, cfg, x, sources):
     output] + layer outputs."""
     cache, _ = forward(params, cfg, x)
     _, sums, _ = scoring_forward_literal(params, cfg, x, [len(x)])
-    outs = [cache.proj_post] + cache.layer_out
-    for n, (z, mask, out) in enumerate(zip(sums, cache.layer_mask, cache.layer_out, strict=True),
+    outs = [cache.output(j) for j in range(len(cache.spans))]
+    for n, (z, mask, out) in enumerate(zip(sums, cache.layer_mask, outs[1:], strict=True),
                                        start=1):
         assert np.array_equal(mask, z > 0.0), f"layer {n}"
         expected = np.maximum(z, 0.0)
@@ -1040,15 +1040,20 @@ def test_streamed_chunk_never_reads_beyond_its_context_window(lookahead):
 
 
 def test_streaming_buffers_only_what_later_windows_read(monkeypatch):
-    # a Carry holds the projection output and each layer's pre-activation
-    # and output; the wide input block's output and the relu inputs, which
-    # only a backward pass reads, are never buffered, and no ForwardCache
-    # is built
+    # a Carry holds the projection output, each layer's pre-activation and
+    # the outputs a shortcut reads; the wide input block's output and the
+    # relu inputs, which only a backward pass reads, are never buffered, and
+    # no ForwardCache is built. At residual_interval 2 the sources among the
+    # 8 layer outputs are outs[2], outs[4] and outs[6]: 1 + 8 + 3 buffers of
+    # the utterance's rows, and besides them the logits and one buffer's
+    # worth of window arrays at most; a carry of every output (1 + 2 * 8
+    # buffers) would not fit under that bound
     cfg = tiny_config(input_dim=4, wide_dim=64, memory_dim=8, num_memory_layers=8)
     params = ready_params(cfg)
     t_frames = 3000
     x = np.random.default_rng(5).uniform(-2, 2, (t_frames, cfg.input_dim))
-    carried = 8 * t_frames * cfg.memory_dim * (1 + 2 * cfg.num_memory_layers)
+    buffer = 8 * t_frames * cfg.memory_dim
+    carried = buffer * (1 + 2 * cfg.num_memory_layers)
     unread = 8 * t_frames * (cfg.wide_dim + cfg.memory_dim * cfg.num_memory_layers)
     tracemalloc.start()
     try:
@@ -1057,6 +1062,8 @@ def test_streaming_buffers_only_what_later_windows_read(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < carried + unread / 2, (peak, carried, unread)
+    logits = 8 * t_frames * cfg.num_classes
+    assert peak < buffer * (1 + 8 + 3) + logits + buffer, (peak, buffer)
 
     def no_cache(*args, **kwargs):
         raise AssertionError("streaming built a ForwardCache")
@@ -1066,6 +1073,63 @@ def test_streaming_buffers_only_what_later_windows_read(monkeypatch):
         cfg = tiny_config(direction=direction)
         x = np.random.default_rng(6).uniform(-2, 2, (40, cfg.input_dim))
         streaming_forward(ready_params(cfg), cfg, x, chunk_size=7, lookahead=3)
+
+
+def stream_windows(params, cfg, x, chunk, lookahead):
+    """`streaming_forward`'s windows on one Carry, checked as the streaming
+    tests check them: each chunk's logits against a forward over its
+    context window. Returns the carry and each window's first new row of
+    every span entry."""
+    t_frames = len(x)
+    carry, firsts = Carry(t_frames), []
+    for start in range(0, t_frames, chunk):
+        end = min(start + chunk, t_frames)
+        width = min(t_frames, end + lookahead)
+        got = forward(params, cfg, x[:width], rows=(start, end), carry=carry)
+        _, want = forward(params, cfg, x[:width])
+        assert rel_max(got, want[start:end]) < 1e-12, (chunk, lookahead, start)
+        firsts.append(list(carry._first))
+    return carry, firsts
+
+
+@pytest.mark.parametrize("interval, outputs", [
+    (1, ["out0", "out1", "out2", "out3", "out4"]),  # every output but the last is a source
+    (2, ["out1", "out3"]),
+    (3, ["out2"]),
+    (None, []),
+])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+def test_a_carry_buffers_the_projection_each_pre_activation_and_the_shortcut_sources(
+        interval, outputs, direction):
+    # outs[j] = out<j - 1> is a shortcut source when a block of `interval`
+    # layers follows it; the next layer reads any other output only on the
+    # rows a window computes
+    cfg = tiny_config(num_memory_layers=6, direction=direction, residual_interval=interval)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (30, cfg.input_dim))
+    carry, _ = stream_windows(params, cfg, x, 4, 3)
+    assert sorted(carry._buffers) == sorted(["proj_post", *(f"pre{l}" for l in range(6)),
+                                             *outputs])
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_bidirectional_streaming_reads_carried_shortcut_rows(chunk):
+    # interval 3 with 7 layers: layer 6 adds outs[3]. A row of outs[3] is
+    # final once 18 frames after it lie in the window (the delays of layers
+    # 1-3, each mirrored ahead), a row of outs[6] once 27 do. So with a
+    # lookahead from 18 up to the future reach of 28, each window computes
+    # outs[6] from 27 rows before its end, and its shortcut reads rows of
+    # outs[3] that an earlier window finished and the carry holds
+    cfg = tiny_config(num_memory_layers=7, direction="bi", residual_interval=3)
+    params = ready_params(cfg)
+    x = RNG.uniform(-2, 2, (40, cfg.input_dim))
+    assert model_mod._wiring(params, cfg)[5][1] == 3
+    future = receptive_field(cfg)[1]
+    assert future == 28
+    for lookahead in (18, 22, future - 1):
+        carry, firsts = stream_windows(params, cfg, x, chunk, lookahead)
+        assert "out2" in carry._buffers
+        assert any(first[6] < first[3] for first in firsts), lookahead
 
 
 def test_carry_rejects_a_window_that_moves_back_or_overruns():
@@ -1494,9 +1558,11 @@ def test_a_group_of_pieces_is_the_pieces_one_after_another_bit_for_bit(variant, 
     for name in ("input_post", "proj_post", "out1_post", "logits"):
         assert np.array_equal(getattr(group, name),
                               np.concatenate([getattr(c, name) for c, _ in alone])), name
-    for name in ("layer_pre", "layer_mask", "layer_out"):
+    for name in ("layer_pre", "layer_mask"):
         for l, got in enumerate(getattr(group, name)):
             assert np.array_equal(got, np.concatenate([getattr(c, name)[l] for c, _ in alone]))
+    for j in range(1, len(group.spans)):
+        assert np.array_equal(group.output(j), np.concatenate([c.output(j) for c, _ in alone]))
     assert np.array_equal(logits, np.concatenate([lg for _, lg in alone]))
     backward(params, cfg, group, np.concatenate(labels), loss_scale=0.3, grad_window=window)
     for p, w in zip(params.parameters(), want, strict=True):
@@ -1559,8 +1625,8 @@ def test_a_bool_buffer_name_gets_memory_of_its_own():
     cfg = tiny_config(num_memory_layers=4)
     cache, _ = forward(ready_params(cfg), cfg, RNG.uniform(-2, 2, (24, cfg.input_dim)), pieces=2,
                        buffers=buffers)
-    floats = [cache.x, cache.input_post, cache.proj_post, *cache.layer_pre, *cache.layer_out,
-              cache.out1_post, cache.logits]
+    floats = [cache.x, cache.input_post, cache.proj_post, *cache.layer_pre,
+              *map(cache.output, range(1, len(cache.spans))), cache.out1_post, cache.logits]
     for l, m in enumerate(cache.layer_mask):
         assert m.dtype == bool and not any(np.shares_memory(m, a) for a in floats), l
 
@@ -1574,7 +1640,7 @@ def test_a_relu_input_of_exactly_zero_is_masked_out():
         p.value[...] = 0.0
     x = RNG.uniform(-2, 2, (9, cfg.input_dim))
     cache, _ = forward(params, cfg, x)
-    assert not cache.layer_mask[1].any() and not cache.layer_out[1].any()
+    assert not cache.layer_mask[1].any() and not cache.output(2).any()
     params.zero_grads()
     backward(params, cfg, cache, RNG.integers(0, cfg.num_classes, 9))
     below = [params.input_w, params.proj_w, params.layer_w[0], params.layer_w[1]]
@@ -1584,18 +1650,54 @@ def test_a_relu_input_of_exactly_zero_is_masked_out():
 @pytest.mark.parametrize("variant", TRIM_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
 @pytest.mark.parametrize("pieces", [1, 3])
 def test_a_training_cache_holds_its_arrays_in_the_analytic_byte_count(variant, pieces):
-    # float64 rows of the stage arrays and of each memory layer's pre-activation
-    # and output, one byte per entry of each layer's relu mask
+    # float64 rows of the stage arrays and of each memory layer's pre-activation,
+    # one byte per entry of each layer's relu mask, and float64 rows of the
+    # layer outputs a shortcut reads (outs[j] for j = n, 2n, ... with a block
+    # of n layers after it) and of the last one; no other output is held
     cfg = tiny_config(num_memory_layers=4, **variant)
     x = RNG.uniform(-2, 2, (pieces * 30, cfg.input_dim))
     cache, _ = forward(ready_params(cfg), cfg, x, rows=(8, 20), pieces=pieces)
     rows = [pieces * (b - a) for a, b in cache.spans]
     m, wide, classes = cfg.memory_dim, cfg.wide_dim, cfg.num_classes
-    layers = sum(8 * rows[l] * m + (1 + 8) * rows[l + 1] * m for l in range(4))
-    assert sum(a.nbytes for a in cache.layer_pre + cache.layer_mask + cache.layer_out) == layers
+    n = cfg.residual_interval
+    held = {4} | {j for j in range(1, 4) if n is not None and j % n == 0 and j + n <= 4}
+    assert [j for j, out in enumerate(cache.layer_out, start=1) if out is not None] == sorted(held)
+    layers = sum(8 * rows[l] * m + rows[l + 1] * m for l in range(4)) + sum(8 * rows[j] * m
+                                                                           for j in held)
+    assert sum(a.nbytes for a in cache.layer_pre + cache.layer_mask
+               + [out for out in cache.layer_out if out is not None]) == layers
     stages = x.nbytes + 8 * rows[0] * (wide + m) + 8 * rows[-1] * (wide + classes)
     assert sum(a.nbytes for a in (cache.x, cache.input_post, cache.proj_post, cache.out1_post,
                                   cache.logits)) == stages
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS + [dict(v, memory_dim=33) for v in BLOCKED_VARIANTS]
+                         + BLOCKED_VARIANTS, ids=lambda v: "-".join(map(str, v.values())))
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_an_output_the_cache_does_not_hold_is_rebuilt_bit_for_bit(variant, pieces, monkeypatch):
+    # every layer output the training forward made, over the logit rows, one
+    # row and a few rows, equals the cache's rebuild of those rows: also at
+    # widths where a GEMM of other rows rounds a row differently
+    variant = dict(variant)
+    t_frames = variant.pop("frames", 30)
+    cfg = tiny_config(num_memory_layers=4, **variant)
+    made = []
+
+    def recording(*args, **kwargs):
+        out = body(*args, **kwargs)
+        made.append(out.copy())
+        return out
+
+    body = model_mod._layer_body
+    monkeypatch.setattr(model_mod, "_layer_body", recording)
+    x = RNG.uniform(-2, 2, (pieces * t_frames, cfg.input_dim))
+    cache, _ = forward(ready_params(cfg), cfg, x, rows=(8, 20), pieces=pieces)
+    outs = made[:4]  # the forward's; each rebuild below appends its own
+    for j in range(1, 5):
+        a = cache.spans[j][0]
+        for lo, hi in [(8, 20), (11, 12), (9, 14)]:
+            want = outs[j - 1].reshape(pieces, -1, cfg.memory_dim)[:, lo - a : hi - a]
+            assert np.array_equal(cache.output(j, (lo, hi)), want.reshape(-1, cfg.memory_dim)), j
 
 
 @pytest.mark.parametrize("memory_dim", [4, 130])

@@ -5,11 +5,15 @@
 PARENT_SRC and CHANGE_SRC are `src` directories (each holding `rmnlab/`),
 for example that of a `git archive` of the parent commit and that of the
 working tree. Each side generates the same training and validation
-archives, then, for each of 16 configurations (uni/bi x diagonal/full x
-truncation_chunk none/7 x residual_interval 2/none, all with a 2+1 splice),
-runs `rmnlab train`, `rmnlab eval` and `rmnlab eval --stream 3 2` on the
-final checkpoint. The training utterances are longer than the chunk and a
-step holds several of them, so steps form groups of several pieces.
+archives, then, for each of 32 configurations (uni/bi x diagonal/full x
+truncation_chunk none/7 x residual_interval 1/2/3/none, all with a 2+1
+splice), runs `rmnlab train`, `rmnlab eval` and `rmnlab eval --stream 3 2`
+on the final checkpoint. The training utterances are longer than the chunk
+and a step holds several of them, so steps form groups of several pieces.
+With 4 memory layers, the shortcut sources are every output but the last
+at interval 1, the projection output and layer 2's output at interval 2,
+and the projection output alone at interval 3, whose layer 3 adds a
+shortcut and whose layer 4 adds none.
 
 Compared, byte for byte: both archives, `metrics.csv` without its
 `wall_seconds` column, every epoch's checkpoint and `final.ckpt`, and each
@@ -41,7 +45,7 @@ COMMON = {"num_memory_layers": 4, "wide_dim": 16, "memory_dim": 8, "splice_left"
 CONFIGS = [
     {"direction": d, "shared_weight_form": f, "truncation_chunk": c, "residual_interval": r}
     for d, f, c, r in itertools.product(("uni", "bi"), ("diagonal", "full"), ("none", 7),
-                                        (2, "none"))
+                                        (1, 2, 3, "none"))
 ]
 
 
