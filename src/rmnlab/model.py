@@ -165,15 +165,14 @@ class ModelParams:
     first output block, classifier block. Exactly one shared past (and
     future) transform exists regardless of depth.
 
-    The values lie in one flat float64 array, in this order, and each
-    Parameter's `value` is a C-contiguous view of its entries. The
-    gradients and the velocities get one flat array each in the same
-    layout, made as zeros when a parameter's `grad` or `velocity` is first
-    used, so a model that is only evaluated holds its values alone. So
-    `sgd_step` and `zero_grads` pass over all parameters at once. A
-    parameter given a new `value` array, or replaced by a new Parameter,
-    keeps buffers of its own; a deep copy holds its own arrays, each
-    parameter on its own.
+    The parameters lie in one `numerics._Flat`, in this order: each
+    Parameter's `value` is a C-contiguous view of its entries of one flat
+    float64 array, and the gradients and the velocities get one flat array
+    each in the same layout, made as zeros when a parameter's `grad` or
+    `velocity` is first used, so a model that is only evaluated holds its
+    values alone. So `sgd_step` passes over all parameters at once. A
+    parameter replaced by a new Parameter lies in a `_Flat` of its own and
+    is a run of its own; a deep copy lies in one copied `_Flat`.
 
     `rng` draws the training init into the views. With `rng` None the
     values are left unset, for a checkpoint reader to fill.
@@ -189,7 +188,7 @@ class ModelParams:
         layout += [("shared_past", shared)] + [("shared_future", shared)] * (c.direction == "bi")
         layout += [("out1_w", (c.memory_dim, c.wide_dim)), ("out1_b", (c.wide_dim,)),
                    ("out2_w", (c.wide_dim, c.num_classes)), ("out2_b", (c.num_classes,))]
-        self._flat = flat = _Flat(sum(math.prod(shape) for _, shape in layout))
+        flat = _Flat(sum(math.prod(shape) for _, shape in layout))
         made, lo = {}, 0
         for name, shape in layout:
             value = flat.value[lo : lo + math.prod(shape)].reshape(shape)
@@ -221,16 +220,9 @@ class ModelParams:
         return out
 
     def zero_grads(self) -> None:
-        """Clear every gradient: the flat gradient array in one fill, which
-        clears its views, then any grad buffer a parameter holds of its own."""
-        flat = vars(self._flat).get("grad")  # None until some grad is first used
-        if flat is not None:
-            flat.fill(0.0)
+        """Clear every gradient (`Parameter.zero_grad`)."""
         for p in self.parameters():
-            own = vars(p).get("grad")  # a buffer never made is zero already
-            if own is not None and (flat is None or own.base is not flat):
-                own[...] = 0.0
-            p._grad_is_zero = True
+            p.zero_grad()
 
 
 def init_params(config: RMNConfig, seed: int) -> ModelParams:

@@ -31,6 +31,7 @@ GEMM the block makes alone, and each block's gradients stay its own.
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +71,7 @@ class NumericError(ArithmeticError):
 class _Flat:
     """The values of parameters laid out one after another in one flat
     float64 array, and their gradients and velocities likewise in one flat
-    array each, made as zeros on first use (`model.ModelParams`)."""
+    array each, made as zeros on first use. Every `Parameter` lies in one."""
 
     def __init__(self, size: int):
         self.value = np.empty(size)
@@ -87,18 +88,16 @@ class _Flat:
 class Parameter:
     """A trainable array bundled with its gradient and momentum buffers.
 
-    `value`, `grad` and `velocity` always share one shape and are
-    C-contiguous. A C-contiguous float64 `value` array is kept as given,
-    not copied; any other is copied into one. The `grad` and `velocity`
-    buffers are made as zeros on first use, so a model that is only
-    evaluated holds its values alone; `trainer.fit` makes them up front.
-
-    `flat` = (flat arrays, first entry) places the parameter in flat arrays
-    it shares with others (`model.ModelParams`): `value` is then a view of
-    the flat values, and `grad` and `velocity` are made as views of the
-    flat gradients and velocities at the same entries, so that `sgd_step`
-    updates such neighbours as one run. A parameter built on its own, or
-    one whose `value` has been given a new array, holds buffers of its own.
+    Every parameter lies in a `_Flat` at a fixed first entry: `value` is a
+    C-contiguous view of the flat values there, and `grad` and `velocity`
+    are views of the flat gradients and velocities at the same entries,
+    made on first use. `flat` = (flat arrays, first entry) places the
+    parameter among others (`model.ModelParams`), `value` being the view at
+    that entry; a parameter built alone gets a `_Flat` of its own, holding a
+    copy of `value`. Assigning to `value`, `grad` or `velocity` copies into
+    the view, which stays the same array, and a shape that differs raises
+    DimensionError. A deep copy lies in a deep copy of its `_Flat`, which
+    the parameters of one deep-copied `ModelParams` share.
 
     Gradients arrive as stacks of parts through `accumulate`, and
     `zero_grad` clears them. The first part after `zero_grad` is written,
@@ -112,44 +111,46 @@ class Parameter:
     _grad_is_zero = True  # grad holds the zeros it was made or cleared with
 
     def __init__(self, value, name: str = "", flat: tuple[_Flat, int] | None = None):
-        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.name = name
-        self._flat = flat
+        if flat is None:
+            given = np.asarray(value, dtype=np.float64)
+            flat = _Flat(given.size), 0
+            value = flat[0].value.reshape(given.shape)
+            np.copyto(value, given)
+        self._flat, self._lo = flat
+        self.__dict__["value"] = value  # bound once; an assignment copies into it
 
-    def _place(self) -> tuple[_Flat, int, int] | None:
-        """(flat arrays, first entry, entry past the last) while `value` is a
-        view of the flat values, else None."""
-        if self._flat is None or self.value.base is not self._flat[0].value:
-            return None
-        flat, lo = self._flat
-        return flat, lo, lo + self.value.size
+    # `value`, `grad` and `velocity` stay plain attributes, one array each
+    # for good: a property would cost on every read, and perfbench's tracer
+    # keys a weight's stage by `id(p.value)`
+    def __setattr__(self, name: str, new) -> None:
+        if name not in ("value", "grad", "velocity"):
+            self.__dict__[name] = new
+            return
+        view, new = getattr(self, name), np.asarray(new, dtype=np.float64)
+        if new.shape != view.shape:
+            raise DimensionError(
+                f"parameter {self.name or '<unnamed>'}: {name} of shape {new.shape} "
+                f"does not match value shape {view.shape}"
+            )
+        np.copyto(view, new)
 
-    def _buffer(self, kind: str) -> np.ndarray:
-        place = self._place()
-        if place is None:
-            return np.zeros_like(self.value)
-        flat, lo, hi = place
-        return getattr(flat, kind)[lo:hi].reshape(self.value.shape)
+    def __deepcopy__(self, memo) -> Parameter:
+        flat = copy.deepcopy(self._flat, memo)
+        twin = Parameter(self._view(flat.value), self.name, (flat, self._lo))
+        twin._grad_is_zero = self._grad_is_zero
+        return twin
+
+    def _view(self, flat: np.ndarray) -> np.ndarray:
+        return flat[self._lo : self._lo + self.size].reshape(self.value.shape)
 
     @cached_property
     def grad(self) -> np.ndarray:
-        return self._buffer("grad")
+        return self._view(self._flat.grad)
 
     @cached_property
     def velocity(self) -> np.ndarray:
-        return self._buffer("velocity")
-
-    def _make_buffers(self) -> None:
-        """Make grad and velocity now. A placed parameter that holds a buffer
-        of its own has it copied into the view of the flat array, which
-        takes its place."""
-        place = self._place()
-        for kind in ("grad", "velocity"):
-            own = vars(self).get(kind)
-            if place is not None and own is not None and own.base is not getattr(place[0], kind):
-                delattr(self, kind)
-                np.copyto(getattr(self, kind), own)
-            getattr(self, kind)
+        return self._view(self._flat.velocity)
 
     def accumulate(self, parts: np.ndarray) -> None:
         """Collect parts[0], parts[1], ... into grad in that order: a part is
@@ -187,7 +188,7 @@ class Parameter:
         return self.grad
 
     def zero_grad(self) -> None:
-        if "grad" in vars(self):  # a buffer never made is zero already
+        if "grad" in vars(self._flat):  # a flat array never made is zero already
             self.grad[...] = 0.0
         self._grad_is_zero = True
 
@@ -202,24 +203,16 @@ class Parameter:
 def _runs(params) -> list[tuple[list[Parameter], np.ndarray, np.ndarray, np.ndarray]]:
     """The parameters in runs whose values, gradients and velocities lie
     next to each other in flat arrays, each run as (parameters, values,
-    gradients, velocities), the arrays flat over the run. Consecutive
-    parameters placed one after another in the same flat arrays, each with
-    all three buffers views of them, form one run; any other parameter is a
-    run of one, its own arrays."""
-    runs = []  # [parameters, flat arrays or None, first entry, entry past the last]
+    gradients, velocities), the arrays flat over the run: consecutive
+    parameters at adjacent entries of one `_Flat` form one run."""
+    runs = []  # [parameters, flat arrays, first entry, entry past the last]
     for p in params:
-        place = p._place()
-        if place is not None and (p.grad.base is not place[0].grad
-                                  or p.velocity.base is not place[0].velocity):
-            place = None
-        if place is not None and runs and runs[-1][1] is place[0] and runs[-1][3] == place[1]:
+        if runs and runs[-1][1] is p._flat and runs[-1][3] == p._lo:
             runs[-1][0].append(p)
-            runs[-1][3] = place[2]
+            runs[-1][3] += p.size
         else:
-            runs.append([[p], *(place or (None, 0, p.size))])
-    return [(group, flat.value[lo:hi], flat.grad[lo:hi], flat.velocity[lo:hi]) if flat is not None else
-            (group, group[0].value.reshape(-1), group[0].grad.reshape(-1),
-             group[0].velocity.reshape(-1))
+            runs.append([[p], p._flat, p._lo, p._lo + p.size])
+    return [(group, flat.value[lo:hi], flat.grad[lo:hi], flat.velocity[lo:hi])
             for group, flat, lo, hi in runs]
 
 

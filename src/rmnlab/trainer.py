@@ -179,9 +179,8 @@ def sgd_step(params, lr: float, momentum: float, l2: float) -> None:
     value    <- value + velocity
 
     The update passes over runs of parameters, not one parameter at a time:
-    parameters whose values, gradients and velocities lie next to each
-    other in flat arrays (`ModelParams`) form one run, and any other
-    parameter is a run of its own (`numerics._runs`). Each run's velocity
+    consecutive parameters at adjacent entries of one flat array form one
+    run (`numerics._runs`), as all of a `ModelParams` do. Each run's velocity
     is updated in blocks of `_SGD_BLOCK` entries through one scratch block,
     so no full-size temporary is made, and each block is checked for
     finiteness; then one `value += velocity` and one fill of the gradients
@@ -415,11 +414,6 @@ def fit(
     inputs, by the same parameters under the config without its splice;
     the validation set is spliced group by group (`evaluate`).
 
-    The model's flat gradient and velocity arrays are made before the first
-    step, and a buffer a parameter held of its own before `fit` is copied
-    into them (`Parameter._make_buffers`), so that `sgd_step` updates the
-    parameters as one run.
-
     A step runs each group of equal-shaped pieces as one `forward` and one
     `backward` call (`_train_step`). An epoch's steps share one set of
     buffers (`model._Buffers`): the stacked input, the stage arrays, relu
@@ -441,7 +435,7 @@ def fit(
     # every buffer training needs, made now: made on first touch inside the
     # first step, they would land among its temporaries
     for p in model.params.parameters():
-        p._make_buffers()
+        p.grad, p.velocity
 
     history: list[EpochStats] = []
     valid_ce_history: list[float] = []

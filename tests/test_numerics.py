@@ -146,6 +146,16 @@ def test_parameter_hands_out_its_grad_buffer_only_while_it_is_zero():
     assert p.grad_to_overwrite() is p.grad
 
 
+def test_a_parameter_built_alone_lies_in_a_flat_of_its_own():
+    given = np.arange(6).reshape(3, 2).T  # not float64, not C-contiguous
+    p = Parameter(given, "p")
+    assert np.array_equal(p.value, given) and not np.shares_memory(p.value, given)
+    flat = p._flat
+    for view, whole in ((p.value, flat.value), (p.grad, flat.grad), (p.velocity, flat.velocity)):
+        assert view.shape == (2, 3) and view.flags.c_contiguous and whole.shape == (6,)
+        assert view.ctypes.data == whole.ctypes.data
+
+
 def test_diag_scale_equals_diagonal_matmul():
     x = RNG.normal(size=(6, 4))
     d = RNG.normal(size=4)

@@ -368,7 +368,7 @@ def trained_model(**kw):
     them, views of the model's flat arrays."""
     model = small_model(**kw)
     for p in model.params.parameters():
-        p._make_buffers()
+        p.grad, p.velocity
     return model
 
 
@@ -377,13 +377,32 @@ def runs_of(params):
 
 
 def own_copy(params):
-    """A deep copy whose every parameter holds arrays of its own: the
-    literal update's oracle."""
+    """A deep copy that shares no memory with `params`: the literal update's
+    oracle."""
     import copy
 
     twin = copy.deepcopy(params)
-    assert all(len(run) == 1 for run in runs_of(twin))
+    for p, q in zip(params.parameters(), twin.parameters()):
+        for a, b in ((p.value, q.value), (p.grad, q.grad), (p.velocity, q.velocity)):
+            assert not np.shares_memory(a, b), p.name
     return twin
+
+
+def assert_sgd_equals_the_literal_update(params, chosen=None):
+    """One `sgd_step` over `chosen` (all of `params` by default), against
+    the literal update of an own copy, on fresh random gradients."""
+    chosen = params if chosen is None else chosen
+    literal = own_copy(params)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        p.grad[...] = q.grad[...] = RNG.normal(size=p.value.shape)
+    sgd_step(chosen, 0.1, 0.9, 1e-3)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        if any(p is c for c in chosen.parameters()):
+            sgd_literal(q, 0.1, 0.9, 1e-3)
+    for p, q in zip(params.parameters(), literal.parameters()):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+        assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
 
 @pytest.mark.parametrize("l2, momentum", [(0.0, 0.0), (1e-3, 0.9)])
@@ -429,44 +448,53 @@ def test_sgd_nonfinite_middle_parameter_of_a_run_leaves_it_and_later_ones_untouc
 
 
 def test_a_deep_copy_trains_on_its_own_arrays():
-    import copy
-
     params = trained_model().params
     before = [p.value.copy() for p in params.parameters()]
-    twin = copy.deepcopy(params)
-    for p, q in zip(params.parameters(), twin.parameters()):
-        for a, b in ((p.value, q.value), (p.grad, q.grad), (p.velocity, q.velocity)):
-            assert not np.shares_memory(a, b), p.name
-    literal = own_copy(params)
-    for q, r in zip(twin.parameters(), literal.parameters()):
-        q.grad[...] = r.grad[...] = RNG.normal(size=q.value.shape)
-    sgd_step(twin, 0.1, 0.9, 1e-3)
-    for r in literal.parameters():
-        sgd_literal(r, 0.1, 0.9, 1e-3)
-    for p, q, r, value in zip(params.parameters(), twin.parameters(), literal.parameters(), before):
+    twin = own_copy(params)
+    assert runs_of(twin) == runs_of(params) == [[p.name for p in params.parameters()]]
+    assert_sgd_equals_the_literal_update(twin)
+    for p, value in zip(params.parameters(), before):
         assert np.array_equal(p.value, value), p.name
-        assert q.value.tobytes() == r.value.tobytes(), q.name
 
 
-def test_a_parameter_given_a_new_value_array_is_a_run_of_its_own():
+def test_an_assigned_value_is_copied_into_the_parameters_place():
     params = trained_model().params
     names = [p.name for p in params.parameters()]
-    i = names.index("shared_past")
-    params.shared_past.value = params.shared_past.value + 1.0
-    assert params.shared_past.grad.base is not None  # still the view made before
+    p = params.shared_past
+    held = p.value
+    new = p.value + 1.0
+    p.value = new
+    assert p.value is held and np.array_equal(held, new) and not np.shares_memory(held, new)
+    assert runs_of(params) == [names]
+    assert_sgd_equals_the_literal_update(params)
+    for kind in ("value", "grad", "velocity"):
+        before = getattr(p, kind).copy()
+        with pytest.raises(DimensionError, match=f"shared_past: {kind} of shape"):
+            setattr(p, kind, np.ones(p.size + 1))
+        assert np.array_equal(getattr(p, kind), before), kind
+
+
+def test_a_replaced_parameter_is_a_run_of_its_own_and_trains_as_the_literal_update():
+    params = trained_model(direction="bi").params
+    names = [p.name for p in params.parameters()]
+    i = names.index("shared_future")
+    params.shared_future = Parameter(params.shared_future.value + 0.5, "shared_future")
     assert runs_of(params) == [names[:i], [names[i]], names[i + 1 :]]
-    literal = own_copy(params)
-    for p, q in zip(params.parameters(), literal.parameters()):
-        p.grad[...] = q.grad[...] = RNG.normal(size=p.value.shape)
+    assert_sgd_equals_the_literal_update(params)
+
+
+def test_a_parameters_arrays_stay_the_same_objects_through_training(tmp_path):
+    # a tracer keys each weight's stage by the id of its value
+    save_checkpoint(small_model(), tmp_path / "model.ckpt")
+    params = load_checkpoint(tmp_path / "model.ckpt").params
+    held = [(p.value, p.grad, p.velocity) for p in params.parameters()]
+    for p in params.parameters():
+        p.grad[...] = RNG.normal(size=p.value.shape)
     sgd_step(params, 0.1, 0.9, 1e-3)
-    for q in literal.parameters():
-        sgd_literal(q, 0.1, 0.9, 1e-3)
-    for p, q in zip(params.parameters(), literal.parameters()):
-        assert p.value.tobytes() == q.value.tobytes(), p.name
-        assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
-    # a fresh grad buffer of the rebound parameter is an array of its own
-    del params.shared_past.grad
-    assert params.shared_past.grad.base is None
+    params.out2_w.value = params.out2_w.value * 2.0
+    params.out2_w.grad = np.ones(params.out2_w.value.shape)
+    for p, arrays in zip(params.parameters(), held):
+        assert all(a is b for a, b in zip((p.value, p.grad, p.velocity), arrays)), p.name
 
 
 def test_sgd_on_some_of_a_models_parameters_updates_each_adjacent_stretch():
@@ -475,39 +503,31 @@ def test_sgd_on_some_of_a_models_parameters_updates_each_adjacent_stretch():
     params = trained_model().params
     chosen = ParamList(params.parameters()[::2])
     assert all(len(run) == 1 for run in runs_of(chosen))
-    literal = own_copy(params)
-    for p, q in zip(params.parameters(), literal.parameters()):
-        p.grad[...] = q.grad[...] = RNG.normal(size=p.value.shape)
-    sgd_step(chosen, 0.1, 0.9, 1e-3)
-    for q in literal.parameters()[::2]:
-        sgd_literal(q, 0.1, 0.9, 1e-3)
-    for p, q in zip(params.parameters(), literal.parameters()):
-        assert p.value.tobytes() == q.value.tobytes(), p.name
-        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+    assert_sgd_equals_the_literal_update(params, chosen)
 
 
-def test_fit_takes_over_buffers_that_existed_before_it_by_copying_them_in():
+def test_an_assigned_velocity_lands_in_the_flat_view_that_fit_updates():
     train = random_corpus(6, t_frames=15, seed=1)
     valid = random_corpus(2, t_frames=15, seed=2)
     config = TrainConfig(max_epochs=1, base_lr=0.05, peak_lr=0.1, seed=3)
-    own, viewed = small_model(), small_model()
+    assigned, written = small_model(), small_model()
     rng = np.random.default_rng(12)
-    for p, q in zip(own.params.parameters(), viewed.params.parameters()):
-        velocity = rng.normal(size=p.value.shape) * 1e-3
-        p.velocity = velocity.copy()  # a buffer of its own, not a view
+    velocities = [rng.normal(size=p.value.shape) * 1e-3 for p in assigned.params.parameters()]
+    for p, q, velocity in zip(assigned.params.parameters(), written.params.parameters(), velocities):
+        p.velocity = velocity
         q.velocity[...] = velocity
-    assert all(len(run) == 1 for run in runs_of(own.params))
-    fit(own, train, valid, config)
-    fit(viewed, train, valid, config)
-    assert runs_of(own.params) == [[p.name for p in own.params.parameters()]]
-    for p, q in zip(own.params.parameters(), viewed.params.parameters()):
+    (_, _, _, flat_velocity), = numerics_mod._runs(assigned.params.parameters())
+    assert flat_velocity.tobytes() == np.concatenate([v.reshape(-1) for v in velocities]).tobytes()
+    fit(assigned, train, valid, config)
+    fit(written, train, valid, config)
+    for p, q in zip(assigned.params.parameters(), written.params.parameters()):
         assert p.value.tobytes() == q.value.tobytes(), p.name
         assert p.velocity.tobytes() == q.velocity.tobytes(), p.name
 
 
-def test_zero_grads_clears_the_flat_gradients_and_a_buffer_of_its_own():
+def test_zero_grads_clears_every_gradient_a_replaced_parameters_too():
     params = trained_model().params
-    params.shared_past.grad = np.ones_like(params.shared_past.value)  # its own
+    params.shared_past = Parameter(params.shared_past.value, "shared_past")
     for p in params.parameters():
         p.accumulate(np.ones((1,) + p.value.shape))
     params.zero_grads()
