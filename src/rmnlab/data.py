@@ -8,7 +8,6 @@ information across time, not by learning a feature representation.
 from __future__ import annotations
 
 import codecs
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +131,14 @@ def write_archive(corpus: Corpus, path) -> None:
         labels <utt-id> l1 l2 ... lT
 
     Reals carry 17 significant digits so write/read round-trips are
-    value-exact; the labels line is omitted for unlabeled utterances.
+    value-exact; the labels line is omitted for unlabeled utterances. An
+    utterance id must be one word, not `labels`, for `read_archive` to read
+    it back: any other raises FormatError before the file is opened.
     """
+    for u in corpus.utterances:
+        if u.id.split() != [u.id] or u.id == "labels":
+            raise FormatError(f"utterance id {u.id!r} cannot be read back: an id is one word "
+                              "without whitespace, other than 'labels'")
     with open(path, "w", encoding="utf-8") as fh:
         for u in corpus.utterances:
             k = corpus.num_classes if u.labels is not None else 0
@@ -150,6 +155,12 @@ def write_archive(corpus: Corpus, path) -> None:
                 fh.write("labels " + u.id + " " + " ".join(str(int(v)) for v in u.labels) + "\n")
 
 
+# An archive of up to this many rows is parsed by one `_parse_rows` call; a
+# larger one by one call per run of whole utterances of about this many rows,
+# which bounds the row strings held beside the text.
+_ARCHIVE_BLOCK_ROWS = 4096
+
+
 def read_archive(path) -> Corpus:
     """Parse a text matrix archive back into a Corpus. Round-trips exactly.
 
@@ -157,72 +168,95 @@ def read_archive(path) -> Corpus:
     ParseError naming the line: text that is not UTF-8, a bad header (a
     negative class count too), a non-numeric, non-finite or ragged feature
     row, or a bad labels line. A corpus that breaks `Corpus.validate`
-    raises FormatError.
+    raises FormatError. When a file holds several faults, the error is that
+    of the first bad line.
+
+    The reader walks headers and labels lines, finds each block's closing
+    `]` by search and parses the rows of all utterances by one
+    `_parse_rows` call (one per `_ARCHIVE_BLOCK_ROWS` rows of a larger
+    archive), so each utterance's features are a view of rows of one
+    stacked array. Only when that call fails is each block parsed alone,
+    which names the bad line or reads a block with blank lines.
     """
+    text = _archive_text(path)
     utts: dict[str, Utterance] = {}
     num_classes = 0
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    # parsed when the run of rows is full, the file ends or an error is
+    # found: each block's (utterance, row lines, closing row, first row's
+    # line) and each labels line's (utterance, None, None, line), in file
+    # order, and the row lines of all blocks back to back
+    events: list[tuple] = []
+    rows: list[str] = []
+    pos, line_no = 0, 1
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        bad_line = raw.count(b"\n", 0, e.start) + 1
-        raise ParseError(f"line {bad_line}: bytes that are not UTF-8 text") from None
+        while pos < len(text):
+            end = text.find("\n", pos)
+            end = len(text) if end < 0 else end
+            line, here = text[pos:end], line_no
+            pos, line_no = end + 1, line_no + 1
+            tokens = line.split()
+            if not tokens:
+                continue
+            if tokens[0] == "labels":
+                if len(tokens) < 2:
+                    raise ParseError(f"line {here}: labels line without utterance id")
+                utt_id = tokens[1]
+                if utt_id not in utts:
+                    raise ParseError(f"line {here}: labels for unknown utterance {utt_id!r}")
+                u = utts[utt_id]
+                if u.labels is not None:
+                    raise FormatError(f"line {here}: duplicate labels for {utt_id!r}")
+                u.labels = _parse_labels(tokens[2:], here)
+                events.append((u, None, None, here))
+                continue
 
-    numbered = enumerate(io.StringIO(text, newline=None), 1)
-    for line_no, line in numbered:
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "labels":
-            if len(tokens) < 2:
-                raise ParseError(f"line {line_no}: labels line without utterance id")
-            utt_id = tokens[1]
-            if utt_id not in utts:
-                raise ParseError(f"line {line_no}: labels for unknown utterance {utt_id!r}")
-            u = utts[utt_id]
-            if u.labels is not None:
-                raise FormatError(f"line {line_no}: duplicate labels for {utt_id!r}")
+            # features block header: <id> [ K
+            if len(tokens) != 3 or tokens[1] != "[":
+                raise ParseError(f"line {here}: expected '<id> [ K' header, got {line.rstrip()!r}")
+            utt_id = tokens[0]
+            if utt_id in utts:
+                raise FormatError(f"line {here}: duplicate utterance id {utt_id!r}")
             try:
-                labels = np.array([int(v) for v in tokens[2:]], dtype=np.int64)
+                k = int(tokens[2])
             except ValueError:
-                raise ParseError(f"line {line_no}: non-integer label") from None
-            except OverflowError:
-                raise ParseError(f"line {line_no}: label out of the 64-bit range") from None
-            if labels.shape[0] != u.num_frames:
-                raise ParseError(
-                    f"line {line_no}: {labels.shape[0]} labels for {u.num_frames} frames"
-                )
-            u.labels = labels
-            continue
+                raise ParseError(f"line {here}: class count {tokens[2]!r} is not an integer") from None
+            if k < 0:
+                raise ParseError(f"line {here}: negative class count in header {line.rstrip()!r}")
+            num_classes = max(num_classes, k)
 
-        # features block header: <id> [ K
-        if len(tokens) != 3 or tokens[1] != "[":
-            raise ParseError(f"line {line_no}: expected '<id> [ K' header, got {line.rstrip()!r}")
-        utt_id = tokens[0]
-        if utt_id in utts:
-            raise FormatError(f"line {line_no}: duplicate utterance id {utt_id!r}")
-        try:
-            k = int(tokens[2])
-        except ValueError:
-            raise ParseError(f"line {line_no}: class count {tokens[2]!r} is not an integer") from None
-        if k < 0:
-            raise ParseError(f"line {line_no}: negative class count in header {line.rstrip()!r}")
-        num_classes = max(num_classes, k)
-
-        # the row lines up to a closing "]" set off by whitespace
-        rows = []  # (line number, values)
-        for row_no, row in numbered:
-            row = row.strip()
-            closed = row.endswith("]") and not row[-2:-1].strip()
-            rows.append((row_no, row[:-1] if closed else row))
-            if closed:
-                break
-        else:
-            raise ParseError(f"line {line_no}: unterminated features block for {utt_id!r}")
-        rows = [(n, row) for n, row in rows if row]
-        feats = _parse_rows([row for _, row in rows], lambda j: f"line {rows[j][0]}")
-        utts[utt_id] = Utterance(utt_id, feats)
+            # the block ends at the first line whose last word is a "]" set
+            # off by whitespace; a line with a "]" elsewhere is a row
+            search = pos
+            while True:
+                bracket = text.find("]", search)
+                if bracket < 0:
+                    raise ParseError(f"line {here}: unterminated features block for {utt_id!r}")
+                start = text.rfind("\n", 0, bracket) + 1
+                end = text.find("\n", bracket)
+                end = len(text) if end < 0 else end
+                closing = text[start:end].strip()
+                if closing.endswith("]") and not closing[-2:-1].strip():
+                    break
+                search = end + 1
+            block = text[pos:start - 1].split("\n") if start > pos else []
+            closing = closing[:-1]
+            u = utts[utt_id] = Utterance(utt_id, None)
+            events.append((u, block, closing, line_no))
+            rows += block
+            if closing:
+                rows.append(closing)
+            pos, line_no = end + 1, line_no + len(block) + 1
+            if len(rows) >= _ARCHIVE_BLOCK_ROWS:
+                run = events, rows
+                events, rows = [], []
+                _settle(*run)
+    except (ParseError, FormatError) as err:
+        error = err
+    else:
+        error = None
+    _settle(events, rows)  # raises the error of an earlier line first
+    if error is not None:
+        raise error
 
     feature_dim = next((u.features.shape[1] for u in utts.values() if u.num_frames), 0)
     for u in utts.values():
@@ -231,6 +265,64 @@ def read_archive(path) -> Corpus:
     corpus = Corpus(utterances=list(utts.values()), feature_dim=feature_dim, num_classes=num_classes)
     corpus.validate()
     return corpus
+
+
+def _archive_text(path) -> str:
+    """An archive's text without a byte-order mark, each line ended by one
+    newline character, as a text-mode read gives it."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        bad_line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"line {bad_line}: bytes that are not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _parse_labels(tokens: list[str], line_no: int) -> np.ndarray:
+    """A labels line's class tokens as int64; a token that is no integer is
+    reported before one out of the 64-bit range, wherever each stands."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    try:
+        for v in tokens:
+            int(v)
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-integer label") from None
+    raise ParseError(f"line {line_no}: label out of the 64-bit range")
+
+
+def _settle(events: list[tuple], rows: list[str]) -> None:
+    """Give `read_archive`'s pending utterances their features and check
+    their label counts, in file order, so that the first error raised is
+    that of the earliest bad line.
+
+    `rows` are the blocks' row lines back to back: when one `_parse_rows`
+    call reads them all, every row line held a row and each utterance gets
+    a view of its rows. Otherwise each block is parsed alone from its
+    stripped non-blank lines, which either raises naming the bad line or
+    reads blocks with blank lines or of differing widths.
+    """
+    try:
+        stacked = _parse_rows(rows, lambda i: "")
+    except ParseError:
+        stacked = None
+    lo = 0
+    for u, block, closing, line_no in events:
+        if block is None:  # a labels line
+            if u.labels.shape[0] != u.num_frames:
+                raise ParseError(f"line {line_no}: {u.labels.shape[0]} labels for {u.num_frames} frames")
+        elif stacked is not None:
+            hi = lo + len(block) + bool(closing)
+            u.features, lo = stacked[lo:hi], hi
+        else:
+            numbered = [(n, row.strip()) for n, row in enumerate(block, line_no)]
+            numbered = [(n, row) for n, row in numbered + [(line_no + len(block), closing)] if row]
+            u.features = _parse_rows([row for _, row in numbered],
+                                     lambda j: f"line {numbered[j][0]}")
 
 
 def splice(features, left: int, right: int, lengths=None) -> np.ndarray:

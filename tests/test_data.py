@@ -3,10 +3,11 @@ and the synthetic task generators."""
 
 import codecs
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmnlab.data import (
@@ -22,7 +23,10 @@ from rmnlab.data import (
     splice,
     write_archive,
 )
+from rmnlab import data as data_mod
 from rmnlab.model import RMNConfig, model_input
+
+from reference_archive import ref_read_archive
 
 RNG = np.random.default_rng(7)
 
@@ -224,6 +228,145 @@ def test_archive_keeps_empty_utterance_width(tmp_path):
     assert read_archive(path).utterances[1].features.shape == (0, 3)
 
 
+@pytest.mark.parametrize("utt_id", ["a b", "", "labels"])
+def test_write_archive_refuses_an_id_it_could_not_read_back(tmp_path, utt_id):
+    # read back, "a b" and "" give a header error, "labels" a labels line
+    corpus = Corpus([Utterance("u0", np.ones((1, 2)), None), Utterance(utt_id, np.ones((1, 2)), None)],
+                    feature_dim=2, num_classes=0)
+    path = tmp_path / "c.arc"
+    with pytest.raises(FormatError, match=re.escape(f"utterance id {utt_id!r} cannot be read back")):
+        write_archive(corpus, path)
+    assert not path.exists()
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the corpus's ids, sizes and array
+    bytes, or the type and message of the error it raises."""
+    try:
+        corpus = read(path)
+    except (ParseError, FormatError) as e:
+        return type(e), str(e)
+    return ([u.id for u in corpus.utterances], corpus.feature_dim, corpus.num_classes,
+            [(u.features.dtype, u.features.shape, u.features.tobytes(),
+              None if u.labels is None else (u.labels.dtype, u.labels.tobytes()))
+             for u in corpus.utterances])
+
+
+@st.composite
+def archive_texts(draw):
+    """Archive text in layouts the writer never makes: CRLF or CR newlines,
+    a byte-order mark, blank lines inside blocks, a lone `]` line, trailing
+    and odd whitespace, unlabeled and empty utterances and deferred labels
+    lines. Half of the archives also draw from faults of every kind, mixed
+    widths among them."""
+    faulty = draw(st.booleans())
+
+    def pick(good, bad=()):  # a fault one time in a few, so later lines are reached too
+        return draw(st.sampled_from(list(good) * 4 + (list(bad) if faulty else [])))
+
+    lines, deferred = [], []
+    width = draw(st.integers(1, 3))
+    for n in range(draw(st.integers(0, 5))):
+        utt_id = pick([f"u{n}"] * 6, ["u0", "labels"])
+        cols = pick([width] * 6, [width + 1])
+        frames = draw(st.integers(0, 4))
+        k = pick(["3", "4", "0"], ["-1", "x"])
+        lines.append(f"{utt_id} [ {k}" + pick(["", " ", "\t"]))
+        rows = []
+        for _ in range(frames):
+            vals = [pick(["0", "1", "-2.5", "0.1", "1e-300", "-7e+20", "3"] * 4,
+                         ["nan", "-inf", "1e999", "x", "1_0", "2]", "\x00"]) for _ in range(cols)]
+            rows.append(pick([" ", "", "\t "]) + " ".join(vals) + pick(["", "", " ", " \x0b"]))
+            rows += draw(st.lists(st.sampled_from(["", "  ", "\t", "\u3000"]), max_size=1))
+            cols = pick([cols] * 12, [cols + 1, cols - 1])
+        closing = pick([" ]", "]", " ] ", "\x0b]"], ["]x"])
+        if rows and rows[-1].strip() and draw(st.booleans()):
+            rows[-1] += closing
+        else:
+            rows.append(closing)
+        lines += rows
+        if (k != "0" or faulty) and draw(st.booleans()):
+            count = frames + pick([0], [1, -1])
+            labels = [pick(["0", "1", "2", "3"] * 3, ["4", "x", "99999999999999999999"])
+                      for _ in range(max(count, 0))]
+            line = " ".join(["labels", pick([utt_id], ["zz", ""])] + labels)
+            (deferred if draw(st.booleans()) else lines).append(line)
+    lines += deferred
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode()
+
+
+WRITTEN = None  # stands for the bytes write_archive makes of a random corpus
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw=st.one_of(
+    archive_texts(),
+    st.just(WRITTEN),
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(ARCHIVE_TOKENS), max_size=40).map(lambda t: " ".join(t).encode()),
+), cut=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+   labeled=st.booleans(), block_rows=st.sampled_from([None, 1, 3]))
+# a "]" not set off by whitespace ends no block; more labels than frames; a
+# label out of the 64-bit range, alone and before a token that is no integer
+@example(raw=b"u0 [ 2\n 1 2]\n 3 4 ]\n", cut=None, labeled=False, block_rows=None)
+@example(raw=b"u0 [ 2\n 1 2 ]\nlabels u0 0 1\n", cut=None, labeled=False, block_rows=None)
+@example(raw=b"u0 [ 2\n 1 2 ]\nlabels u0 99999999999999999999\n", cut=None, labeled=False,
+         block_rows=None)
+@example(raw=b"u0 [ 2\n 1 2 ]\n 3 4 ]\nlabels u0 99999999999999999999 x\n", cut=None,
+         labeled=False, block_rows=None)
+def test_archive_reader_equals_the_line_by_line_oracle(tmp_path_factory, raw, cut, labeled,
+                                                       block_rows):
+    # block_rows shrinks the reader's row budget, so rows are parsed in
+    # runs of a few utterances and an error can lie in a later run
+    path = tmp_path_factory.mktemp("arc") / "c.arc"
+    if raw is WRITTEN:
+        write_archive(random_corpus(n_utts=3, with_labels=labeled, seed=9), path)
+        raw = path.read_bytes()
+    path.write_bytes(raw if cut is None else raw[: int(cut * len(raw))])
+    budget = data_mod._ARCHIVE_BLOCK_ROWS if block_rows is None else block_rows
+    with mock.patch.object(data_mod, "_ARCHIVE_BLOCK_ROWS", budget):
+        got = outcome(read_archive, path)
+    assert got == outcome(ref_read_archive, path)
+
+
+@pytest.mark.parametrize("damage", [None, "nan in the last utterance", "bad header at the end"])
+def test_an_archive_beyond_the_row_budget_reads_as_the_oracle(tmp_path, damage):
+    budget = data_mod._ARCHIVE_BLOCK_ROWS
+    utts = [Utterance(f"u{n}", RNG.normal(size=(budget // 2 + 3, 2)), RNG.integers(0, 4, budget // 2 + 3))
+            for n in range(5)]
+    path = tmp_path / "c.arc"
+    write_archive(Corpus(utts, feature_dim=2, num_classes=4), path)
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "nan in the last utterance":
+        lines[-3] = " nan 1\n"
+    elif damage == "bad header at the end":
+        lines.append("u9 [\n")
+    path.write_text("".join(lines))
+    want = outcome(ref_read_archive, path)
+    assert outcome(read_archive, path) == want
+    if damage is None:
+        corpus = read_archive(path)
+        # the rows are parsed in more than one run, each utterance a view
+        bases = {id(u.features.base) for u in corpus.utterances}
+        assert 1 < len(bases) < len(utts)
+    else:
+        assert want[1].startswith(f"line {len(lines) if damage.startswith('bad') else len(lines) - 2}:")
+
+
+def test_utterances_read_from_one_run_are_views_that_do_not_overlap(tmp_path):
+    corpus = random_corpus(n_utts=4, seed=6)
+    path = tmp_path / "c.arc"
+    write_archive(corpus, path)
+    back = read_archive(path)
+    assert len({id(u.features.base) for u in back.utterances}) == 1
+    before = [u.features.copy() for u in back.utterances]
+    back.utterances[1].features[...] = 7.0
+    for n, u in enumerate(back.utterances):
+        assert np.array_equal(u.features, np.full_like(u.features, 7.0) if n == 1 else before[n])
+
+
 # --- splicing ----------------------------------------------------------------
 
 
@@ -306,6 +449,32 @@ def test_mean_var_normalize_statistics():
     stacked = np.vstack([u.features for u in normed.utterances])
     assert np.allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(stacked.var(axis=0), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mean_var_normalize_is_the_per_utterance_formula_bit_for_bit(seed):
+    corpus = random_corpus(n_utts=6, dim=4, seed=seed)
+    corpus.utterances.insert(2, Utterance("empty", np.zeros((0, 4)), None))
+    inputs = [u.features.copy() for u in corpus.utterances]
+    stacked = np.vstack(inputs)
+    mean, var = stacked.mean(axis=0), stacked.var(axis=0)
+    scale = np.where(var > 1e-12, 1.0 / np.sqrt(np.maximum(var, 1e-12)), 1.0)
+    normed = mean_var_normalize(corpus)
+    assert [u.id for u in normed.utterances] == [u.id for u in corpus.utterances]
+    for u, x, orig in zip(normed.utterances, inputs, corpus.utterances):
+        want = (x - mean) * scale
+        assert u.features.shape == want.shape and u.features.tobytes() == want.tobytes()
+        assert np.array_equal(orig.features, x)  # the input corpus is untouched
+        if orig.labels is not None:
+            assert np.array_equal(u.labels, orig.labels) and not np.shares_memory(u.labels, orig.labels)
+
+
+def test_writing_one_normalized_utterance_leaves_the_others_unchanged():
+    normed = mean_var_normalize(random_corpus(n_utts=5, dim=3, seed=2))
+    before = [u.features.copy() for u in normed.utterances]
+    normed.utterances[2].features[...] = 7.0
+    for n, u in enumerate(normed.utterances):
+        assert np.array_equal(u.features, np.full_like(u.features, 7.0) if n == 2 else before[n])
 
 
 @pytest.mark.parametrize("lengths", [[1], [0, 1], []])

@@ -15,7 +15,8 @@ at interval 1, the projection output and layer 2's output at interval 2,
 and the projection output alone at interval 3, whose layer 3 adds a
 shortcut and whose layer 4 adds none.
 
-Compared, byte for byte: both archives, `metrics.csv` without its
+Compared, byte for byte: both archives, a hash of what `read_archive` and
+`mean_var_normalize` return for each, `metrics.csv` without its
 `wall_seconds` column, every epoch's checkpoint and `final.ckpt`, and each
 command's exit code and standard output. Prints one line per
 configuration, naming every file that differs, and exits 1 if any does.
@@ -49,12 +50,34 @@ CONFIGS = [
 ]
 
 
+# prints, for each archive named, a sha256 of the ids, sizes and array bytes
+# of the corpus `read_archive` returns and of its `mean_var_normalize`
+READ_BACK = """
+import hashlib, sys
+from rmnlab import data
+for name in sys.argv[1:]:
+    read = data.read_archive(name)
+    for label, corpus in (("read_archive", read), ("mean_var_normalize", data.mean_var_normalize(read))):
+        h = hashlib.sha256(repr((corpus.feature_dim, corpus.num_classes)).encode())
+        for u in corpus.utterances:
+            h.update(repr((u.id, u.features.dtype.str, u.features.shape)).encode())
+            h.update(u.features.tobytes())
+            h.update(b"-" if u.labels is None else u.labels.dtype.str.encode() + u.labels.tobytes())
+        print(name, label, h.hexdigest())
+"""
+
+
+def python(src: str, cwd: str, *argv: str) -> bytes:
+    """Exit code and standard output of one Python command run from `src`."""
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          check=False)
+    return b"exit %d\n" % proc.returncode + proc.stdout
+
+
 def rmnlab(src: str, cwd: str, *argv: str) -> bytes:
     """Exit code and standard output of one `rmnlab` command run from `src`."""
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "rmnlab.cli", *argv], cwd=cwd, env=env,
-                          stdout=subprocess.PIPE, check=False)
-    return b"exit %d\n" % proc.returncode + proc.stdout
+    return python(src, cwd, "-m", "rmnlab.cli", *argv)
 
 
 def without_wall_seconds(csv: bytes) -> bytes:
@@ -107,6 +130,7 @@ def main(argv=None) -> int:
                 got[f"gen {name} (stdout)"] = rmnlab(src, work, "gen", *gen_args, name)
                 with open(os.path.join(work, name), "rb") as fh:
                     got[name] = fh.read()
+            got["read back (sha256)"] = python(src, work, "-c", READ_BACK, *ARCHIVES)
             gen.append(got)
         archives_differ = report("archives", *gen)
         failed = sum(report(" ".join(f"{k}={v}" for k, v in config.items()),
